@@ -73,7 +73,7 @@ class SedAttention:
     """
 
     def __init__(self, dim: int, heads: int, tau_init: float = 2.0,
-                 eps: float = 1e-6, bn_momentum: float = 0.1, seed: int = 0):
+                 eps: float = 1e-6, seed: int = 0):
         if dim % heads != 0:
             raise ConfigError(f"dim {dim} not divisible by heads {heads}")
         self.dim = int(dim)
@@ -87,9 +87,7 @@ class SedAttention:
             return parameter(rng.normal(0.0, scale, size=(dim, dim)))
 
         self.w_q, self.w_k, self.w_v, self.w_o = mat(), mat(), mat(), mat()
-        self.bn_q = BatchNorm(dim, momentum=bn_momentum)
-        self.bn_k = BatchNorm(dim, momentum=bn_momentum)
-        self.bn_v = BatchNorm(dim, momentum=bn_momentum)
+        self.bn_q, self.bn_k, self.bn_v = BatchNorm(dim), BatchNorm(dim), BatchNorm(dim)
         self.eta_q = parameter(eta_for_tau_init(tau_init))
         self.eta_k = parameter(eta_for_tau_init(tau_init))
         self.eta_v = parameter(eta_for_tau_init(tau_init))
@@ -122,10 +120,6 @@ class SedAttention:
             head_outs.append(num / den)
         y = concat(head_outs, axis=1) @ self.w_o
         return y.reshape(Kp, D, dim)
-
-    def set_training(self, mode: bool) -> None:
-        for bn in (self.bn_q, self.bn_k, self.bn_v):
-            bn.training = mode
 
     def parameters(self) -> dict[str, Tensor]:
         out = {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o,
@@ -168,21 +162,14 @@ class Block:
     """Pre-norm residual block: attention then feed-forward."""
 
     def __init__(self, dim: int, heads: int, tau_init: float = 2.0,
-                 eps: float = 1e-6, bn_momentum: float = 0.1, seed: int = 0):
-        self.attn = SedAttention(dim, heads, tau_init=tau_init, eps=eps,
-                                 bn_momentum=bn_momentum, seed=seed)
+                 eps: float = 1e-6, seed: int = 0):
+        self.attn = SedAttention(dim, heads, tau_init=tau_init, eps=eps, seed=seed)
         self.ffn = FeedForward(dim, seed=seed + 1)
-        self.bn1 = BatchNorm(dim, momentum=bn_momentum)
-        self.bn2 = BatchNorm(dim, momentum=bn_momentum)
+        self.bn1, self.bn2 = BatchNorm(dim), BatchNorm(dim)
 
     def __call__(self, x: Tensor, gaps: np.ndarray) -> Tensor:
         x = x + self.attn(self.bn1(x), gaps)
         return x + self.ffn(self.bn2(x))
-
-    def set_training(self, mode: bool) -> None:
-        self.attn.set_training(mode)
-        self.bn1.training = mode
-        self.bn2.training = mode
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -217,8 +204,6 @@ def aggregate_observed(x: Tensor, mask: np.ndarray) -> Tensor:
     if np.any(empty):
         warnings.warn(f"{int(empty.sum())} variate(s) have no observed pooled step; "
                       "their summary is zero")
-    safe = np.where(empty, 1.0, counts)
-    weights = (mask / safe).T.reshape(D, Kp) * (~empty[:, None])
-    # z[d] = sum_u weights[d, u] * x[u, d, :]
-    parts = [Tensor(weights[d:d + 1]) @ x[:, d, :] for d in range(D)]
-    return concat(parts, axis=0)
+    weights = mask / np.where(empty, 1.0, counts)  # [K', D]; empty columns are 0
+    # z[d] = sum_u weights[u, d] * x[u, d, :]
+    return (x * Tensor(weights[:, :, None])).sum(axis=0)

@@ -138,7 +138,6 @@ class SedSeEncoder:
     v_th: float = 1.0
     alpha: float = 4.0
     first_gap: str = "zero"
-    bn_momentum: float = 0.1
     seed: int = 0
 
     kernels: Tensor = field(init=False)
@@ -159,7 +158,7 @@ class SedSeEncoder:
         bound = 1.0 / np.sqrt(self.kernel_size)
         self.kernels = parameter(
             rng.uniform(-bound, bound, size=(self.n_variates, self.channels, self.kernel_size)))
-        self.bn = BatchNorm(self.channels, momentum=self.bn_momentum)
+        self.bn = BatchNorm(self.channels)
         self.gate_a = parameter(1.0)
         self.gate_b = parameter(0.0)
         # softplus(rho_hat) + 1e-3 == 1.0 at init
@@ -168,13 +167,6 @@ class SedSeEncoder:
         self.gamma_hat = parameter(np.log(np.expm1(1.0)))
         self.theta = parameter(np.zeros(self.channels))
         self.eta = parameter(eta_for_tau_init(self.tau_init))
-
-    @property
-    def training(self) -> bool:
-        return self.bn.training
-
-    def train(self, mode: bool = True) -> None:
-        self.bn.training = mode
 
     def gate(self, gaps: np.ndarray) -> Tensor:
         """Staleness gate s_k = sigmoid(a * log(1 + dt_k / rho) + b), [K]."""

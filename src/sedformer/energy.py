@@ -134,30 +134,24 @@ def energy_estimate(layers: list[tuple[str, str, OpCounts]],
 def measure_spike_stats(model: SedFormer, items: list[WindowItem]) -> dict:
     """Empirical firing rates and event counts from forward passes.
 
-    Runs the encoder and pooling in inference mode and reports, over all
-    items: raw events, pooled events, spike rates of the raw and pooled
-    rasters (spikes / spike slots).
+    Runs the encoder and pooling with hard spikes and no tape, and reports,
+    over all items: raw events, pooled events, spike rates of the raw and
+    pooled rasters (spikes / spike slots).
     """
-    was_training = model.training
-    model.set_training(False)
     raw_events = pooled_events = 0
     raw_spikes = raw_slots = 0.0
     pooled_spikes = pooled_slots = 0.0
-    try:
-        with no_grad():
-            for item in items:
-                s = item.series
-                spikes, _ = model.encoder.encode(s, smooth=False)
-                raw_events += s.n_events
-                raw_spikes += float(spikes.data.sum())
-                raw_slots += spikes.size
-                pooled, _, _ = pool_events(spikes, s.mask, s.times,
-                                           model.config.pool_stride)
-                pooled_events += pooled.shape[0]
-                pooled_spikes += float(pooled.data.sum())
-                pooled_slots += pooled.size
-    finally:
-        model.set_training(was_training)
+    with no_grad():
+        for item in items:
+            s = item.series
+            spikes, _ = model.encoder.encode(s, smooth=False)
+            raw_events += s.n_events
+            raw_spikes += float(spikes.data.sum())
+            raw_slots += spikes.size
+            pooled, _, _ = pool_events(spikes, s.mask, s.times, model.config.pool_stride)
+            pooled_events += pooled.shape[0]
+            pooled_spikes += float(pooled.data.sum())
+            pooled_slots += pooled.size
     return {
         "raw_events": raw_events,
         "pooled_events": pooled_events,

@@ -34,11 +34,8 @@ class ModelConfig:
     v_th: float = 1.0
     alpha_ste: float = 4.0
     te_span: float = 90.0
-    share_time_embedding: bool = True
     first_gap: str = "zero"
-    bn_momentum: float = 0.1
     attention_eps: float = 1e-6
-    smooth_spikes: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -101,35 +98,19 @@ class SedFormer:
         self.encoder = SedSeEncoder(
             n_variates=c.n_variates, channels=c.conv_channels,
             kernel_size=c.kernel_size, tau_init=c.tau_init, v_th=c.v_th,
-            alpha=c.alpha_ste, first_gap=c.first_gap,
-            bn_momentum=c.bn_momentum, seed=c.seed)
+            alpha=c.alpha_ste, first_gap=c.first_gap, seed=c.seed)
         rng = np.random.default_rng(c.seed + 1)
         self.embed = parameter(
             rng.normal(0.0, 1.0 / np.sqrt(c.conv_channels), size=(c.conv_channels, c.dim)))
-        self.te = TimeEmbedding(c.dim, span=c.te_span)
-        if c.share_time_embedding:
-            self.te_dec = self.te
-        else:
-            self.te_dec = TimeEmbedding(c.dim, span=c.te_span)
+        self.te = TimeEmbedding(c.dim, span=c.te_span)  # tokens and decoder queries
         self.blocks = [
             Block(c.dim, c.heads, tau_init=c.tau_init, eps=c.attention_eps,
-                  bn_momentum=c.bn_momentum, seed=c.seed + 10 + i)
+                  seed=c.seed + 10 + i)
             for i in range(c.blocks)
         ]
         self.decoder = Decoder(c.dim, seed=c.seed + 4)
-        self._training = True
 
-    # -- modes ----------------------------------------------------------------
-
-    @property
-    def training(self) -> bool:
-        return self._training
-
-    def set_training(self, mode: bool) -> None:
-        self._training = bool(mode)
-        self.encoder.train(mode)
-        for b in self.blocks:
-            b.set_training(mode)
+    # -- normalization ----------------------------------------------------------
 
     def batch_norms(self) -> list:
         out = [self.encoder.bn]
@@ -140,13 +121,12 @@ class SedFormer:
     def calibrate(self, series_list) -> None:
         """Refresh normalization statistics with exact pooled moments.
 
-        One eval-mode pass over the given series; each normalizer records its
-        raw input moments and commits them at the end. Keeps training-time and
-        inference-time feature scaling consistent when forwards see one
-        series at a time.
+        One pass over the given series under the current statistics; each
+        normalizer records its raw input moments and commits them at the end.
+        This is the only way statistics change outside ``load_state``, so
+        training and inference scale features identically even though each
+        forward sees one series.
         """
-        was_training = self._training
-        self.set_training(False)
         norms = self.batch_norms()
         for bn in norms:
             bn.start_accumulation()
@@ -155,15 +135,13 @@ class SedFormer:
                 self.summarize(series)
         for bn in norms:
             bn.stop_accumulation()
-        self.set_training(was_training)
 
     # -- forward --------------------------------------------------------------
 
-    def summarize(self, series: EventSeries, smooth: bool | None = None) -> Tensor:
+    def summarize(self, series: EventSeries, smooth: bool = False) -> Tensor:
         """Per-variate summary vectors [D, dim] for one history window."""
         c = self.config
-        use_smooth = c.smooth_spikes if smooth is None else smooth
-        spikes, _ = self.encoder.encode(series, smooth=use_smooth)
+        spikes, _ = self.encoder.encode(series, smooth=smooth)
         pooled, mask_p, times_p = pool_events(spikes, series.mask, series.times,
                                               c.pool_stride)
         gaps_p = event_gaps(times_p, first_gap=c.first_gap)
@@ -173,37 +151,29 @@ class SedFormer:
         return aggregate_observed(x, mask_p)
 
     def forward(self, series: EventSeries, query_times: list[np.ndarray],
-                smooth: bool | None = None) -> list[Tensor | None]:
+                smooth: bool = False) -> list[Tensor | None]:
         """Predictions per variate; ``query_times[d]`` is [Q_d] (may be empty).
 
-        Returns a list of [Q_d] tensors (None where Q_d == 0).
+        Returns a list of [Q_d] tensors (None where Q_d == 0). Every query of
+        every variate goes through one decoder call.
         """
         if len(query_times) != self.config.n_variates:
             raise ConfigError(
                 f"expected {self.config.n_variates} query lists, got {len(query_times)}")
         z = self.summarize(series, smooth=smooth)
-        out: list[Tensor | None] = []
-        for d, q in enumerate(query_times):
-            q = np.asarray(q, dtype=np.float64)
-            if q.size == 0:
-                out.append(None)
-                continue
-            z_d = z[d:d + 1, :]
-            tiled = Tensor(np.zeros((q.size, self.config.dim))) + z_d
-            inp = concat([tiled, self.te_dec(q)], axis=1)
-            out.append(self.decoder(inp).reshape(q.size))
-        return out
+        qs = [np.asarray(q, dtype=np.float64).reshape(-1) for q in query_times]
+        sizes = [q.size for q in qs]
+        rows = np.repeat(np.arange(len(qs)), sizes)  # query -> its variate
+        inp = concat([z[rows], self.te(np.concatenate(qs))], axis=1)
+        y = self.decoder(inp).reshape(-1)
+        ends = np.cumsum(sizes)
+        return [y[end - n:end] if n else None for n, end in zip(sizes, ends)]
 
     def predict(self, series: EventSeries,
                 query_times: list[np.ndarray]) -> list[np.ndarray | None]:
-        """Inference: eval mode, hard spikes, no tape."""
-        was_training = self._training
-        self.set_training(False)
-        try:
-            with no_grad():
-                preds = self.forward(series, query_times, smooth=False)
-        finally:
-            self.set_training(was_training)
+        """Inference: hard spikes, no tape."""
+        with no_grad():
+            preds = self.forward(series, query_times)
         return [None if p is None else p.data.copy() for p in preds]
 
     # -- state ------------------------------------------------------------------
@@ -215,9 +185,6 @@ class SedFormer:
         out["embed"] = self.embed
         for name, p in self.te.parameters().items():
             out[f"te.{name}"] = p
-        if self.te_dec is not self.te:
-            for name, p in self.te_dec.parameters().items():
-                out[f"te_dec.{name}"] = p
         for i, b in enumerate(self.blocks):
             for name, p in b.parameters().items():
                 out[f"blocks.{i}.{name}"] = p

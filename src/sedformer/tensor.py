@@ -334,10 +334,6 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -423,19 +419,6 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def activate(x: Tensor, kind: str) -> Tensor:
-    """Dispatch: sigmoid | softplus | exp | rectifier."""
-    if kind == "sigmoid":
-        return x.sigmoid()
-    if kind == "softplus":
-        return x.softplus()
-    if kind == "exp":
-        return x.exp()
-    if kind == "rectifier":
-        return x.relu()
-    raise ConfigError(f"unknown activation kind: {kind!r}")
-
-
 # -- composite ops -------------------------------------------------------------
 
 
@@ -452,10 +435,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             _accum(p, g[tuple(sl)])
 
     return _op(out_data, tuple(parents), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return _coerce(a) @ b
 
 
 def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
@@ -493,22 +472,21 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
 
 
 class BatchNorm:
-    """Per-channel batch normalization; the channel axis is last.
+    """Per-channel normalization with stored statistics; the channel axis is last.
 
-    Train mode normalizes over every non-channel position of the input and
-    updates running statistics (biased variance); eval mode applies the
-    stored statistics and is fully deterministic.
+    Every call applies ``running_mean``/``running_var`` and is deterministic.
+    The statistics change only through ``start_accumulation``/
+    ``stop_accumulation`` (exact pooled moments over many calls) or
+    ``load_buffers``; there is no per-batch mode.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int, eps: float = 1e-5):
         self.channels = int(channels)
         self.gamma = parameter(np.ones(channels))
         self.beta = parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = float(momentum)
         self.eps = float(eps)
-        self.training = True
         self._acc = None
 
     def start_accumulation(self) -> None:
@@ -534,17 +512,7 @@ class BatchNorm:
             self._acc[0] += flat.shape[0]
             self._acc[1] += flat.data.sum(axis=0)
             self._acc[2] += (flat.data * flat.data).sum(axis=0)
-        if self.training:
-            n = flat.shape[0]
-            mu = flat.sum(axis=0, keepdims=True) * (1.0 / n)
-            centered = flat - mu
-            var = (centered * centered).sum(axis=0, keepdims=True) * (1.0 / n)
-            m = self.momentum
-            self.running_mean += m * (mu.data.ravel() - self.running_mean)
-            self.running_var += m * (var.data.ravel() - self.running_var)
-            xhat = centered * (var + self.eps) ** -0.5
-        else:
-            xhat = (flat - self.running_mean) * ((self.running_var + self.eps) ** -0.5)
+        xhat = (flat - self.running_mean) * ((self.running_var + self.eps) ** -0.5)
         out = xhat * self.gamma + self.beta
         return out.reshape(orig_shape)
 

@@ -180,7 +180,6 @@ def train(model: SedFormer, train_items: list[WindowItem],
         # frozen stats: forwards see one series, so per-forward batch stats
         # would normalize away each window's level and break inference
         model.calibrate(train_series)
-        model.set_training(False)
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
@@ -209,7 +208,6 @@ def train(model: SedFormer, train_items: list[WindowItem],
                     "buffers": {k: b.copy() for k, b in model.buffers().items()}}
     if best["params"] is not None:
         model.load_state(best["params"], best["buffers"])
-    model.set_training(False)
     return {"history": history, "best_epoch": best["epoch"],
             "best_val_mse": best["val_mse"]}
 
@@ -277,11 +275,19 @@ def load_checkpoint(path: str) -> SedFormer:
         blob = json.load(f)
     if blob.get("version") != 1:
         raise ConfigError(f"unsupported checkpoint version: {blob.get('version')!r}")
-    model = SedFormer(ModelConfig.from_dict(blob["config"]))
+    config = dict(blob["config"])
+    # retired ModelConfig fields from older checkpoints: the first two never
+    # change what a stored state predicts; a separate decoder time embedding
+    # no longer exists, so only the shared setting loads
+    config.pop("bn_momentum", None)
+    config.pop("smooth_spikes", None)
+    if not config.pop("share_time_embedding", True):
+        raise ConfigError("checkpoint sets share_time_embedding=false; a separate "
+                          "decoder time embedding is no longer supported")
+    model = SedFormer(ModelConfig.from_dict(config))
     params = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
               for k, v in blob["params"].items()}
     buffers = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
                for k, v in blob["buffers"].items()}
     model.load_state(params, buffers)
-    model.set_training(False)
     return model

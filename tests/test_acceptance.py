@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import gradcheck, random_series
-from test_backbone import quadratic_attention
+from test_backbone import calibrate_attention, quadratic_attention
 from test_downsample import brute_force_pool
 
 from sedformer import (
@@ -46,7 +46,8 @@ from sedformer.data import lagrange_fill, synth_suite_panel
 from sedformer.energy import OpCounts, count_snn_layer, layer_energy, model_energy_report
 from sedformer.neuron import ealif_filter, eta_for_tau
 from sedformer.sweep import GRIDS, read_sweep_csv, run_cell, run_sweep
-from sedformer.tensor import BatchNorm, concat, depthwise_conv1d, mac_counter, parameter
+from sedformer.tensor import (BatchNorm, concat, depthwise_conv1d, mac_counter, no_grad,
+                              parameter)
 from sedformer.training import baseline_metrics, flat_errors, flat_metrics
 
 
@@ -83,15 +84,10 @@ def _op_suite(rng):
 
     bn = BatchNorm(3)
     z = parameter(rng.normal(size=(6, 3)))
-    for training in (True, False):
-        bn.training = training
-        rm, rv = bn.running_mean.copy(), bn.running_var.copy()
-
-        def build():
-            bn.running_mean[:], bn.running_var[:] = rm, rv
-            return (bn(z) ** 2).sum()
-
-        gradcheck(build, [z, bn.gamma, bn.beta], rel_tol=1e-4, step=1e-5)
+    bn.start_accumulation()  # non-identity statistics: the moments of z itself
+    bn(z)
+    bn.stop_accumulation()
+    gradcheck(lambda: (bn(z) ** 2).sum(), [z, bn.gamma, bn.beta], rel_tol=1e-4, step=1e-5)
 
     p = parameter(rng.normal(size=(6, 2)) * 3.0)  # distinct values: stable argmax
     gradcheck(lambda: (pool_max(p, 2) ** 2).sum(), [p], rel_tol=1e-4, step=1e-5)
@@ -110,16 +106,19 @@ def _pipeline_gradcheck(seed: int) -> None:
     """Sampled-coordinate FD over every parameter of the full model loss."""
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(n_variates=2, conv_channels=3, kernel_size=3, dim=8,
-                      heads=2, blocks=1, pool_stride=2, seed=seed,
-                      smooth_spikes=True)
+                      heads=2, blocks=1, pool_stride=2, seed=seed)
     model = SedFormer(cfg)
     series = random_series(rng, n_events=int(rng.integers(5, 9)), n_variates=2)
-    if seed % 2:
-        # frozen pooled stats, as used for the actual gradient steps
-        model.calibrate([series])
-        model.set_training(False)
-    else:
-        model.set_training(True)
+    # frozen pooled stats, as used for the actual gradient steps; pooled over
+    # the same smooth forward the differences probe (hard spikes on one short
+    # series can leave a near-zero variance and a loss too large for them)
+    norms = model.batch_norms()
+    for bn in norms:
+        bn.start_accumulation()
+    with no_grad():
+        model.summarize(series, smooth=True)
+    for bn in norms:
+        bn.stop_accumulation()
     queries = [np.sort(rng.uniform(0.0, 90.0, size=2)) for _ in range(2)]
     targets = [rng.normal(size=2) for _ in range(2)]
 
@@ -198,14 +197,15 @@ def test_criterion_03_attention_oracle_and_linear_macs():
         heads = int(rng.integers(1, 3))
         d_head = int(rng.integers(1, 5))
         attn = SedAttention(heads * d_head, heads, seed=trial)
-        attn.set_training(bool(trial % 2))
         x = rng.normal(size=(Kp, D, heads * d_head))
         gaps = np.concatenate([[0.0], rng.uniform(0.1, 3.0, size=Kp - 1)])
+        if trial % 2:  # non-identity normalization statistics
+            calibrate_attention(attn, np.random.default_rng(trial).normal(
+                1.0, 2.0, size=x.shape), gaps)
         got = attn(Tensor(x), gaps).data
         assert np.max(np.abs(got - quadratic_attention(attn, x, gaps))) < 1e-10
 
     attn = SedAttention(16, 2, seed=0)
-    attn.set_training(False)
     counts = {}
     for Kp in (8, 64):
         x = Tensor(rng.normal(size=(Kp, 3, 16)))
@@ -241,7 +241,6 @@ def test_criterion_04_pooling_brute_force():
 def test_criterion_05_encoder_invariants():
     rng = np.random.default_rng(5)
     enc = SedSeEncoder(n_variates=3, seed=1)
-    enc.train(False)
     for _ in range(100):
         series = random_series(rng)
         spikes, _ = enc.encode(series)

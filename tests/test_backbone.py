@@ -6,7 +6,7 @@ import pytest
 from sedformer.backbone import (Block, SedAttention, TimeEmbedding,
                                 aggregate_observed, embed_tokens)
 from sedformer.errors import ConfigError, ShapeError
-from sedformer.tensor import Tensor, mac_counter
+from sedformer.tensor import Tensor, mac_counter, no_grad
 
 
 def quadratic_attention(attn: SedAttention, x: np.ndarray,
@@ -21,12 +21,7 @@ def quadratic_attention(attn: SedAttention, x: np.ndarray,
 
     def project(w, bn):
         z = flat @ w.data
-        if bn.training:
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
-        else:
-            mu, var = bn.running_mean, bn.running_var
-        zhat = (z - mu) / np.sqrt(var + bn.eps)
+        zhat = (z - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
         return (zhat * bn.gamma.data + bn.beta.data).reshape(Kp, D, dim)
 
     def filt(z, eta, squash):
@@ -56,6 +51,17 @@ def quadratic_attention(attn: SedAttention, x: np.ndarray,
     return y.reshape(Kp, D, dim)
 
 
+def calibrate_attention(attn: SedAttention, x: np.ndarray, gaps: np.ndarray) -> None:
+    """Give the q/k/v normalizers the pooled moments of one pass over ``x``."""
+    norms = (attn.bn_q, attn.bn_k, attn.bn_v)
+    for bn in norms:
+        bn.start_accumulation()
+    with no_grad():
+        attn(Tensor(x), gaps)
+    for bn in norms:
+        bn.stop_accumulation()
+
+
 def test_attention_matches_quadratic_oracle():
     rng = np.random.default_rng(77)
     for trial in range(100):
@@ -65,9 +71,11 @@ def test_attention_matches_quadratic_oracle():
         d_head = int(rng.integers(1, 5))
         dim = heads * d_head
         attn = SedAttention(dim, heads, seed=trial)
-        attn.set_training(bool(trial % 2))
         x = rng.normal(size=(Kp, D, dim))
         gaps = np.concatenate([[0.0], rng.uniform(0.1, 3.0, size=Kp - 1)])
+        if trial % 2:  # non-identity normalization statistics
+            calibrate_attention(attn, np.random.default_rng(trial).normal(
+                1.0, 2.0, size=x.shape), gaps)
         got = attn(Tensor(x), gaps).data
         want = quadratic_attention(attn, x, gaps)
         assert np.max(np.abs(got - want)) < 1e-10
@@ -77,7 +85,6 @@ def test_attention_mac_count_linear_in_length():
     rng = np.random.default_rng(3)
     dim, heads, D = 16, 2, 3
     attn = SedAttention(dim, heads, seed=0)
-    attn.set_training(False)
     counts = {}
     for Kp in (8, 64):
         x = Tensor(rng.normal(size=(Kp, D, dim)))
@@ -92,7 +99,6 @@ def test_attention_mac_count_linear_in_length():
 def test_attention_depends_on_gaps_not_absolute_time():
     rng = np.random.default_rng(9)
     attn = SedAttention(8, 2, seed=1)
-    attn.set_training(False)
     x = Tensor(rng.normal(size=(6, 2, 8)))
     gaps = np.concatenate([[0.0], rng.uniform(0.1, 2.0, size=5)])
     a = attn(x, gaps).data
@@ -147,6 +153,20 @@ def test_aggregate_observed_masked_mean():
     assert np.allclose(z[0], (x.data[0, 0] + x.data[1, 0]) / 2.0)
     assert np.allclose(z[1], x.data[2, 1])
 
+    # random inputs against one masked-mean matmul per variate
+    rng = np.random.default_rng(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some variates draw no observed step
+        for _ in range(50):
+            Kp, D, dim = (int(n) for n in rng.integers(1, 7, size=3))
+            x = rng.normal(size=(Kp, D, dim))
+            mask = (rng.uniform(size=(Kp, D)) < 0.6).astype(np.float64)
+            z = aggregate_observed(Tensor(x), mask).data
+            n = np.maximum(mask.sum(axis=0), 1.0)  # empty variates: zero weights
+            for d in range(D):
+                want = (mask[:, d] / n[d])[None, :] @ x[:, d, :]
+                assert np.max(np.abs(z[d] - want[0])) <= 1e-12
+
 
 def test_aggregate_observed_empty_variate_warns():
     x = Tensor(np.ones((2, 2, 3)))
@@ -160,7 +180,6 @@ def test_aggregate_observed_empty_variate_warns():
 
 def test_block_preserves_shape_and_mixes(rng):
     blk = Block(8, heads=2, seed=0)
-    blk.set_training(False)
     x = Tensor(rng.normal(size=(5, 2, 8)))
     gaps = np.concatenate([[0.0], rng.uniform(0.1, 2.0, size=4)])
     out = blk(x, gaps)

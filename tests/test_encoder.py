@@ -70,7 +70,6 @@ def test_encoder_output_is_binary(rng):
 def test_encoder_time_shift_invariance(rng):
     """Absolute time never enters the encoder, only gaps."""
     enc = SedSeEncoder(n_variates=3, seed=1)
-    enc.train(False)
     for _ in range(100):
         series = random_series(rng)
         shifted = EventSeries(times=series.times + 1234.5,
@@ -83,7 +82,6 @@ def test_encoder_time_shift_invariance(rng):
 def test_encoder_mask_soundness(rng):
     """Values at masked-out entries never influence the spikes."""
     enc = SedSeEncoder(n_variates=3, seed=2)
-    enc.train(False)
     for _ in range(100):
         series = random_series(rng)
         noise = rng.normal(size=series.values.shape) * (1.0 - series.mask)

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_series
 from sedformer.errors import ConfigError
 from sedformer.model import ModelConfig, SedFormer
+from sedformer.tensor import Tensor, concat
 
 
 def small_config(**kw):
@@ -49,13 +50,34 @@ def test_summary_shape(rng):
 
 def test_predict_deterministic_and_mode_safe(rng):
     model = SedFormer(small_config())
-    model.set_training(True)
     series = random_series(rng, n_events=12)
+    model.calibrate([series])
+    stats = {k: b.copy() for k, b in model.buffers().items()}
     q = [np.array([95.0])] * 3
     a = model.predict(series, q)
-    assert model._training is True  # restored
     b = model.predict(series, q)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    # inference never touches the normalization statistics
+    assert all(np.array_equal(b, stats[k]) for k, b in model.buffers().items())
+
+
+def test_forward_decodes_all_variates_at_once(rng):
+    """One batched decoder call equals decoding each variate on its own."""
+    model = SedFormer(small_config())
+    series = random_series(rng, n_events=12)
+    model.calibrate([series])
+    z = model.summarize(series).data
+    for sizes in ([2, 0, 3], [0, 1, 0], [4, 4, 4], [0, 0, 0]):
+        q = [np.sort(rng.uniform(90.0, 110.0, size=n)) for n in sizes]
+        preds = model.forward(series, q)
+        for d, (p, qd) in enumerate(zip(preds, q)):
+            if qd.size == 0:
+                assert p is None
+                continue
+            tiled = Tensor(np.repeat(z[d:d + 1], qd.size, axis=0))
+            want = model.decoder(concat([tiled, model.te(qd)], axis=1)).data[:, 0]
+            assert p.shape == qd.shape
+            assert np.max(np.abs(p.data - want)) <= 1e-12
 
 
 def test_seeded_construction_identical(rng):
@@ -101,18 +123,9 @@ def test_load_state_rejects_shape_mismatch(rng):
         model.load_state(params, {k: b.copy() for k, b in model.buffers().items()})
 
 
-def test_shared_time_embedding_flag():
-    shared = SedFormer(small_config())
-    assert shared.te_dec is shared.te
-    split = SedFormer(small_config(share_time_embedding=False))
-    assert split.te_dec is not split.te
-    assert any(k.startswith("te_dec.") for k in split.parameters())
-
-
 def test_calibrate_restores_mode(rng):
     model = SedFormer(small_config())
-    model.set_training(True)
     model.calibrate([random_series(rng, n_events=10) for _ in range(3)])
-    assert model._training is True
+    assert all(bn._acc is None for bn in model.batch_norms())  # accumulation closed
     stats = model.buffers()["encoder.bn.running_mean"]
     assert not np.allclose(stats, 0.0)

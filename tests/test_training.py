@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -84,7 +85,6 @@ def test_gradients_reach_nearly_all_parameter_groups(rng):
     model = SedFormer(small_config())
     item = make_item(rng)
     model.calibrate([item.series])
-    model.set_training(False)
     preds = model.forward(item.series, item.query_times)
     loss = variate_balanced_mse(preds, item.targets)
     loss.backward()
@@ -189,3 +189,27 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     a = model.predict(item.series, item.query_times)
     b = again.predict(item.series, item.query_times)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_checkpoint_with_retired_config_fields(tmp_path, rng):
+    """Checkpoints written before three config fields were retired still load."""
+    model = SedFormer(small_config())
+    item = make_item(rng)
+    model.calibrate([item.series])
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), model)
+    blob = json.loads(path.read_text())
+    blob["config"].update(bn_momentum=0.1, smooth_spikes=True, share_time_embedding=True)
+    path.write_text(json.dumps(blob))
+    a = model.predict(item.series, item.query_times)
+    b = load_checkpoint(str(path)).predict(item.series, item.query_times)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    blob["config"]["share_time_embedding"] = False
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ConfigError, match="share_time_embedding"):
+        load_checkpoint(str(path))
+    blob["config"].update(share_time_embedding=True, bogus=1)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ConfigError, match="bogus"):
+        load_checkpoint(str(path))
