@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .neuron import ealif_filter, eta_for_tau_init
-from .tensor import BatchNorm, Tensor, concat, parameter
+from .tensor import BatchNorm, Module, Tensor, concat, parameter
 
 
-class TimeEmbedding:
+class TimeEmbedding(Module):
     """Learnable time features: one linear channel plus sinusoids.
 
     TE(t) = [w * t/span, sin(omega_i * t/span + phi_i)] with dim-1
@@ -47,9 +47,6 @@ class TimeEmbedding:
         periodic = (Tensor(tn) * self.omega + self.phi).sin()
         return concat([linear, periodic], axis=1)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w": self.w, "omega": self.omega, "phi": self.phi}
-
 
 def embed_tokens(spikes: Tensor, times: np.ndarray, embed: Tensor,
                  te: TimeEmbedding) -> Tensor:
@@ -61,11 +58,12 @@ def embed_tokens(spikes: Tensor, times: np.ndarray, embed: Tensor,
     return tok + te(times).reshape(Kp, 1, te.dim)
 
 
-class SedAttention:
+class SedAttention(Module):
     """Multi-head spiking linear attention over the pooled event axis.
 
-    Per head: project to queries/keys/values, batch-normalize, run the
-    event-driven filter (softplus squash on q/k, none on v), then
+    Project to queries/keys/values, batch-normalize, run the event-driven
+    filter (softplus squash on q/k, none on v), split the channels into
+    heads, then per head (all heads in one batched product)
         KV    = sum_w phi_k[w]^T vtil[w]          [d_h, d_h]
         k_sum = sum_w sum_rows phi_k[w]           [d_h]
         y[u]  = (phi_q[u] KV) / (phi_q[u] k_sum + eps)
@@ -87,57 +85,32 @@ class SedAttention:
             return parameter(rng.normal(0.0, scale, size=(dim, dim)))
 
         self.w_q, self.w_k, self.w_v, self.w_o = mat(), mat(), mat(), mat()
-        self.bn_q, self.bn_k, self.bn_v = BatchNorm(dim), BatchNorm(dim), BatchNorm(dim)
         self.eta_q = parameter(eta_for_tau_init(tau_init))
         self.eta_k = parameter(eta_for_tau_init(tau_init))
         self.eta_v = parameter(eta_for_tau_init(tau_init))
-
-    def _project(self, x_flat: Tensor, w: Tensor, bn: BatchNorm,
-                 Kp: int, D: int) -> Tensor:
-        return bn(x_flat @ w).reshape(Kp, D, self.dim)
+        self.bn_q, self.bn_k, self.bn_v = BatchNorm(dim), BatchNorm(dim), BatchNorm(dim)
 
     def __call__(self, x: Tensor, gaps: np.ndarray) -> Tensor:
         Kp, D, dim = x.shape
         if dim != self.dim:
             raise ShapeError(f"attention built for dim {self.dim}, got {dim}")
-        x_flat = x.reshape(Kp * D, dim)
-        q = ealif_filter(self._project(x_flat, self.w_q, self.bn_q, Kp, D),
-                         gaps, self.eta_q, squash="softplus")
-        k = ealif_filter(self._project(x_flat, self.w_k, self.bn_k, Kp, D),
-                         gaps, self.eta_k, squash="softplus")
-        v = ealif_filter(self._project(x_flat, self.w_v, self.bn_v, Kp, D),
-                         gaps, self.eta_v, squash=None)
-        head_outs = []
-        for h in range(self.heads):
-            lo, hi = h * self.d_head, (h + 1) * self.d_head
-            phi_q = q[:, :, lo:hi].reshape(Kp * D, self.d_head)
-            phi_k = k[:, :, lo:hi].reshape(Kp * D, self.d_head)
-            vtil = v[:, :, lo:hi].reshape(Kp * D, self.d_head)
-            kv = phi_k.T @ vtil
-            k_sum = phi_k.sum(axis=0, keepdims=True)
-            num = phi_q @ kv
-            den = phi_q @ k_sum.T + self.eps
-            head_outs.append(num / den)
-        y = concat(head_outs, axis=1) @ self.w_o
-        return y.reshape(Kp, D, dim)
+        N, H = Kp * D, self.heads
+        x_flat = x.reshape(N, dim)
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o,
-               "eta_q": self.eta_q, "eta_k": self.eta_k, "eta_v": self.eta_v}
-        for name, bn in (("bn_q", self.bn_q), ("bn_k", self.bn_k), ("bn_v", self.bn_v)):
-            for pname, p in bn.parameters().items():
-                out[f"{name}.{pname}"] = p
-        return out
+        def heads(w, bn, eta, squash):  # -> [H, N, d_h]
+            f = ealif_filter(bn(x_flat @ w).reshape(Kp, D, dim), gaps, eta, squash=squash)
+            return f.reshape(N, H, self.d_head).transpose(1, 0, 2)
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, bn in (("bn_q", self.bn_q), ("bn_k", self.bn_k), ("bn_v", self.bn_v)):
-            for bname, b in bn.buffers().items():
-                out[f"{name}.{bname}"] = b
-        return out
+        phi_q = heads(self.w_q, self.bn_q, self.eta_q, "softplus")
+        phi_k = heads(self.w_k, self.bn_k, self.eta_k, "softplus")
+        vtil = heads(self.w_v, self.bn_v, self.eta_v, None)
+        kv = phi_k.transpose(0, 2, 1) @ vtil                      # [H, d_h, d_h]
+        k_sum = phi_k.sum(axis=1, keepdims=True).transpose(0, 2, 1)  # [H, d_h, 1]
+        y = (phi_q @ kv) / (phi_q @ k_sum + self.eps)             # [H, N, d_h]
+        return (y.transpose(1, 0, 2).reshape(N, dim) @ self.w_o).reshape(Kp, D, dim)
 
 
-class FeedForward:
+class FeedForward(Module):
     """Continuous position-wise MLP: d -> 2d -> rectifier -> d."""
 
     def __init__(self, dim: int, seed: int = 0):
@@ -154,11 +127,8 @@ class FeedForward:
         h = (flat @ self.w1 + self.b1).relu()
         return (h @ self.w2 + self.b2).reshape(Kp, D, dim)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-
-class Block:
+class Block(Module):
     """Pre-norm residual block: attention then feed-forward."""
 
     def __init__(self, dim: int, heads: int, tau_init: float = 2.0,
@@ -170,23 +140,6 @@ class Block:
     def __call__(self, x: Tensor, gaps: np.ndarray) -> Tensor:
         x = x + self.attn(self.bn1(x), gaps)
         return x + self.ffn(self.bn2(x))
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for prefix, mod in (("attn", self.attn), ("ffn", self.ffn),
-                            ("bn1", self.bn1), ("bn2", self.bn2)):
-            for name, p in mod.parameters().items():
-                out[f"{prefix}.{name}"] = p
-        return out
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, b in self.attn.buffers().items():
-            out[f"attn.{name}"] = b
-        for prefix, bn in (("bn1", self.bn1), ("bn2", self.bn2)):
-            for bname, b in bn.buffers().items():
-                out[f"{prefix}.{bname}"] = b
-        return out
 
 
 def aggregate_observed(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -3,7 +3,9 @@
 Spike rasters stay binary under max pooling, the observation mask pools
 the same way, and each pooled step inherits the LAST event time of its
 window so downstream decay factors see real elapsed time. A trailing
-remainder shorter than the stride is dropped (with a warning).
+remainder shorter than the stride is dropped (with a warning). The
+primitives reject a stride longer than the sequence; ``pool_events``
+instead pools a history shorter than the stride into one step.
 """
 
 from __future__ import annotations
@@ -64,11 +66,16 @@ def pool_times(times: np.ndarray, stride: int) -> np.ndarray:
 
 def pool_events(spikes: Tensor, mask: np.ndarray, times: np.ndarray,
                 stride: int) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Downsample a spike raster with its mask and time axis together."""
+    """Downsample a spike raster with its mask and time axis together.
+
+    The effective stride is ``min(stride, K)``, so a history of fewer than
+    ``stride`` events becomes a single pooled step.
+    """
     if spikes.shape[0] != mask.shape[0] or spikes.shape[0] != times.shape[0]:
         raise ConfigError(
             f"event axes disagree: spikes {spikes.shape[0]}, mask {mask.shape[0]}, "
             f"times {times.shape[0]}")
+    stride = min(int(stride), spikes.shape[0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pooled_mask = pool_mask(mask, stride)

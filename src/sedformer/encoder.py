@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .neuron import ealif_spike_scan, eta_for_tau_init
-from .tensor import BatchNorm, Tensor, depthwise_conv1d, parameter
+from .tensor import BatchNorm, Module, Tensor, depthwise_conv1d, parameter
 
 
 @dataclass
@@ -123,12 +123,10 @@ def event_gaps(times: np.ndarray, first_gap: str = "zero") -> np.ndarray:
 
 
 @dataclass
-class SedSeEncoder:
+class SedSeEncoder(Module):
     """Spike encoder: depthwise conv + batch norm, gap gate, EA-LIF scan.
 
-    Produces a binary spike raster [K, D, C] from an EventSeries. All
-    learnable state lives in ``parameters()``; batch-norm running stats are
-    exposed via ``buffers()``.
+    Produces a binary spike raster [K, D, C] from an EventSeries.
     """
 
     n_variates: int
@@ -191,19 +189,3 @@ class SedSeEncoder:
         spikes = ealif_spike_scan(current, gaps, self.eta, v_th=self.v_th,
                                   alpha=self.alpha, smooth=smooth)
         return spikes, gaps
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "kernels": self.kernels,
-            "bn.gamma": self.bn.gamma,
-            "bn.beta": self.bn.beta,
-            "gate_a": self.gate_a,
-            "gate_b": self.gate_b,
-            "rho_hat": self.rho_hat,
-            "gamma_hat": self.gamma_hat,
-            "theta": self.theta,
-            "eta": self.eta,
-        }
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {"bn.running_mean": self.bn.running_mean, "bn.running_var": self.bn.running_var}

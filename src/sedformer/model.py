@@ -15,8 +15,8 @@ import numpy as np
 from .backbone import Block, TimeEmbedding, aggregate_observed, embed_tokens
 from .downsample import pool_events
 from .encoder import EventSeries, SedSeEncoder, event_gaps
-from .errors import ConfigError
-from .tensor import Tensor, concat, no_grad, parameter
+from .errors import ConfigError, DataError
+from .tensor import BatchNorm, Module, Tensor, concat, no_grad, parameter
 
 
 @dataclass
@@ -62,7 +62,7 @@ class ModelConfig:
         return cls(**d)
 
 
-class Decoder:
+class Decoder(Module):
     """Maps (variate summary, query-time embedding) to one scalar.
 
     MLP: 2d -> 2d -> rectifier -> 2d -> rectifier -> 1.
@@ -84,12 +84,8 @@ class Decoder:
         h = (h @ self.w2 + self.b2).relu()
         return h @ self.w3 + self.b3
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
-                "w3": self.w3, "b3": self.b3}
 
-
-class SedFormer:
+class SedFormer(Module):
     """Event-synchronous spiking forecaster for irregular series."""
 
     def __init__(self, config: ModelConfig):
@@ -112,11 +108,8 @@ class SedFormer:
 
     # -- normalization ----------------------------------------------------------
 
-    def batch_norms(self) -> list:
-        out = [self.encoder.bn]
-        for b in self.blocks:
-            out.extend([b.bn1, b.bn2, b.attn.bn_q, b.attn.bn_k, b.attn.bn_v])
-        return out
+    def batch_norms(self) -> list[BatchNorm]:
+        return [m for m in self.modules() if isinstance(m, BatchNorm)]
 
     def calibrate(self, series_list) -> None:
         """Refresh normalization statistics with exact pooled moments.
@@ -160,11 +153,14 @@ class SedFormer:
         if len(query_times) != self.config.n_variates:
             raise ConfigError(
                 f"expected {self.config.n_variates} query lists, got {len(query_times)}")
-        z = self.summarize(series, smooth=smooth)
         qs = [np.asarray(q, dtype=np.float64).reshape(-1) for q in query_times]
+        stamps = np.concatenate(qs)
+        if not np.all(np.isfinite(stamps)):
+            raise DataError("query times must be finite")
+        z = self.summarize(series, smooth=smooth)
         sizes = [q.size for q in qs]
         rows = np.repeat(np.arange(len(qs)), sizes)  # query -> its variate
-        inp = concat([z[rows], self.te(np.concatenate(qs))], axis=1)
+        inp = concat([z[rows], self.te(stamps)], axis=1)
         y = self.decoder(inp).reshape(-1)
         ends = np.cumsum(sizes)
         return [y[end - n:end] if n else None for n, end in zip(sizes, ends)]
@@ -177,29 +173,6 @@ class SedFormer:
         return [None if p is None else p.data.copy() for p in preds]
 
     # -- state ------------------------------------------------------------------
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for name, p in self.encoder.parameters().items():
-            out[f"encoder.{name}"] = p
-        out["embed"] = self.embed
-        for name, p in self.te.parameters().items():
-            out[f"te.{name}"] = p
-        for i, b in enumerate(self.blocks):
-            for name, p in b.parameters().items():
-                out[f"blocks.{i}.{name}"] = p
-        for name, p in self.decoder.parameters().items():
-            out[f"decoder.{name}"] = p
-        return out
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, b in self.encoder.buffers().items():
-            out[f"encoder.{name}"] = b
-        for i, blk in enumerate(self.blocks):
-            for name, b in blk.buffers().items():
-                out[f"blocks.{i}.{name}"] = b
-        return out
 
     def load_state(self, params: dict[str, np.ndarray],
                    buffers: dict[str, np.ndarray]) -> None:

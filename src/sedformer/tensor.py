@@ -5,9 +5,11 @@ composed from operations here. A Tensor wraps a float64 numpy array; ops
 record a backward closure so that ``backward()`` on a scalar loss fills
 ``.grad`` on every reachable tensor created with ``requires_grad=True``.
 
-Only what the model needs is implemented: 2-D matmul, elementwise
-arithmetic with numpy broadcasting, reductions, reshapes, basic slicing,
-the activation zoo, depthwise 1-D convolution, and batch normalization.
+Only what the model needs is implemented: matmul (2-D or batched),
+elementwise arithmetic with numpy broadcasting, reductions, reshapes, axis
+permutation, basic slicing, the activation zoo, depthwise 1-D convolution,
+and batch normalization. ``Module`` derives a model part's named state from
+its attributes.
 """
 
 from __future__ import annotations
@@ -177,17 +179,19 @@ class Tensor:
         return _op(out_data, (a,), bwd)
 
     def __matmul__(self, other):
+        """[..., n, k] @ [..., k, m] with equal leading (batch) shapes."""
         a, b = self, _coerce(other)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-        if a.shape[1] != b.shape[0]:
+        if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+            raise ShapeError(f"matmul needs equal-batch operands of >= 2 dims, "
+                             f"got {a.shape} @ {b.shape}")
+        if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
         out_data = a.data @ b.data
-        _count_macs(a.shape[0] * a.shape[1] * b.shape[1])
+        _count_macs(out_data.size * a.shape[-1])
 
         def bwd(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
+            _accum(a, g @ b.data.swapaxes(-1, -2))
+            _accum(b, a.data.swapaxes(-1, -2) @ g)
 
         return _op(out_data, (a, b), bwd)
 
@@ -226,15 +230,19 @@ class Tensor:
 
         return _op(out_data, (a,), bwd)
 
-    def transpose(self):
-        if self.ndim != 2:
-            raise ShapeError("transpose() is defined for 2-D tensors")
+    def transpose(self, *axes):
+        """Permute axes; with no arguments, swap the two axes of a 2-D tensor."""
+        if not axes:
+            if self.ndim != 2:
+                raise ShapeError("transpose() without axes is defined for 2-D tensors")
+            axes = (1, 0)
         a = self
+        inverse = np.argsort(axes)
 
         def bwd(g):
-            _accum(a, g.T)
+            _accum(a, g.transpose(inverse))
 
-        return _op(a.data.T, (a,), bwd)
+        return _op(a.data.transpose(axes), (a,), bwd)
 
     @property
     def T(self):
@@ -471,13 +479,57 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     return _op(out, (x, kernels), bwd)
 
 
-class BatchNorm:
+class Module:
+    """A model part whose named state is found from its attributes.
+
+    ``vars(self)`` is walked in assignment order. A trainable ``Tensor`` is
+    a parameter; an attribute with a ``parameters`` method is a child, and
+    so is each such item of a list attribute. A child's names take the
+    attribute name (plus the list index) as a prefix: ``blocks.0.attn.w_q``.
+    Children are recognized by that method, not by type, so a stand-in that
+    forwards attributes to a module keeps the module's state visible.
+    """
+
+    def _members(self):
+        for name, value in vars(self).items():
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield f"{name}.{i}", item
+            else:
+                yield name, value
+
+    def _children(self):
+        return [(name, v) for name, v in self._members() if hasattr(v, "parameters")]
+
+    def parameters(self) -> dict[str, Tensor]:
+        out = {}
+        for name, v in self._members():
+            if isinstance(v, Tensor) and v.requires_grad:
+                out[name] = v
+            elif hasattr(v, "parameters"):
+                out.update((f"{name}.{k}", p) for k, p in v.parameters().items())
+        return out
+
+    def buffers(self) -> dict[str, np.ndarray]:
+        """Non-trainable state arrays, collected from the children."""
+        return {f"{name}.{k}": b for name, child in self._children()
+                for k, b in child.buffers().items()}
+
+    def modules(self):
+        """This module, then every descendant, depth first."""
+        yield self
+        for _, child in self._children():
+            yield from child.modules()
+
+
+class BatchNorm(Module):
     """Per-channel normalization with stored statistics; the channel axis is last.
 
     Every call applies ``running_mean``/``running_var`` and is deterministic.
     The statistics change only through ``start_accumulation``/
-    ``stop_accumulation`` (exact pooled moments over many calls) or
-    ``load_buffers``; there is no per-batch mode.
+    ``stop_accumulation`` (exact pooled moments over many calls) or by
+    writing into the arrays in place (``SedFormer.load_state``); there is
+    no per-batch mode.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5):
@@ -516,15 +568,8 @@ class BatchNorm:
         out = xhat * self.gamma + self.beta
         return out.reshape(orig_shape)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
     def buffers(self) -> dict[str, np.ndarray]:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-    def load_buffers(self, bufs: dict[str, np.ndarray]) -> None:
-        self.running_mean = np.array(bufs["running_mean"], dtype=np.float64)
-        self.running_var = np.array(bufs["running_var"], dtype=np.float64)
 
 
 def assert_finite(x, what: str = "tensor") -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EventSeries
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, DataError, NumericsError
 from .model import ModelConfig, SedFormer
 from .tensor import Tensor, assert_finite
 
@@ -34,6 +34,8 @@ class WindowItem:
         for q, y in zip(self.query_times, self.targets):
             if np.asarray(q).shape != np.asarray(y).shape:
                 raise ConfigError("each query list needs one target per query")
+            if not np.all(np.isfinite(np.asarray(y, dtype=np.float64))):
+                raise DataError("targets must be finite")
 
     @property
     def n_queries(self) -> int:

@@ -139,3 +139,18 @@ def test_missing_inputs_exit_2(tmp_path, workdir):
                  str(tmp_path / "nope.json"), "--out-dir", out]) == 2
     assert main(["prepare", "--corpus", str(tmp_path / "nope.csv"),
                  "--out-dir", out]) == 2
+
+
+def test_non_finite_query_stamp_exits_2(tmp_path, workdir):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("meta.json", "test.csv"):
+        (data / name).write_text(open(os.path.join(workdir["data"], name)).read())
+    with open(data / "test.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    first_query = next(i for i, r in enumerate(rows) if r[1] == "query")
+    rows[first_query][2] = "inf"
+    with open(data / "test.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    assert main(["eval", "--data", str(data), "--checkpoint", workdir["ckpt"],
+                 "--split", "test", "--out-dir", str(tmp_path / "out")]) == 2

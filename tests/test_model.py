@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_series
-from sedformer.errors import ConfigError
+from sedformer.encoder import EventSeries
+from sedformer.energy import model_energy_report
+from sedformer.errors import ConfigError, DataError
 from sedformer.model import ModelConfig, SedFormer
 from sedformer.tensor import Tensor, concat
+from sedformer.training import WindowItem
 
 
 def small_config(**kw):
@@ -90,15 +93,97 @@ def test_seeded_construction_identical(rng):
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
-def test_parameters_and_buffers_named(rng):
+PARAM_NAMES = [
+    "encoder.kernels", "encoder.bn.gamma", "encoder.bn.beta", "encoder.gate_a",
+    "encoder.gate_b", "encoder.rho_hat", "encoder.gamma_hat", "encoder.theta", "encoder.eta",
+    "embed", "te.w", "te.omega", "te.phi",
+    "blocks.0.attn.w_q", "blocks.0.attn.w_k", "blocks.0.attn.w_v", "blocks.0.attn.w_o",
+    "blocks.0.attn.eta_q", "blocks.0.attn.eta_k", "blocks.0.attn.eta_v",
+    "blocks.0.attn.bn_q.gamma", "blocks.0.attn.bn_q.beta", "blocks.0.attn.bn_k.gamma",
+    "blocks.0.attn.bn_k.beta", "blocks.0.attn.bn_v.gamma", "blocks.0.attn.bn_v.beta",
+    "blocks.0.ffn.w1", "blocks.0.ffn.b1", "blocks.0.ffn.w2", "blocks.0.ffn.b2",
+    "blocks.0.bn1.gamma", "blocks.0.bn1.beta", "blocks.0.bn2.gamma", "blocks.0.bn2.beta",
+    "blocks.1.attn.w_q", "blocks.1.attn.w_k", "blocks.1.attn.w_v", "blocks.1.attn.w_o",
+    "blocks.1.attn.eta_q", "blocks.1.attn.eta_k", "blocks.1.attn.eta_v",
+    "blocks.1.attn.bn_q.gamma", "blocks.1.attn.bn_q.beta", "blocks.1.attn.bn_k.gamma",
+    "blocks.1.attn.bn_k.beta", "blocks.1.attn.bn_v.gamma", "blocks.1.attn.bn_v.beta",
+    "blocks.1.ffn.w1", "blocks.1.ffn.b1", "blocks.1.ffn.w2", "blocks.1.ffn.b2",
+    "blocks.1.bn1.gamma", "blocks.1.bn1.beta", "blocks.1.bn2.gamma", "blocks.1.bn2.beta",
+    "decoder.w1", "decoder.b1", "decoder.w2", "decoder.b2", "decoder.w3", "decoder.b3",
+]
+BUFFER_NAMES = [
+    "encoder.bn.running_mean", "encoder.bn.running_var",
+    "blocks.0.attn.bn_q.running_mean", "blocks.0.attn.bn_q.running_var",
+    "blocks.0.attn.bn_k.running_mean", "blocks.0.attn.bn_k.running_var",
+    "blocks.0.attn.bn_v.running_mean", "blocks.0.attn.bn_v.running_var",
+    "blocks.0.bn1.running_mean", "blocks.0.bn1.running_var",
+    "blocks.0.bn2.running_mean", "blocks.0.bn2.running_var",
+    "blocks.1.attn.bn_q.running_mean", "blocks.1.attn.bn_q.running_var",
+    "blocks.1.attn.bn_k.running_mean", "blocks.1.attn.bn_k.running_var",
+    "blocks.1.attn.bn_v.running_mean", "blocks.1.attn.bn_v.running_var",
+    "blocks.1.bn1.running_mean", "blocks.1.bn1.running_var",
+    "blocks.1.bn2.running_mean", "blocks.1.bn2.running_var",
+]
+
+
+def test_parameters_and_buffers_named():
+    """Adam, grad clipping and checkpoints iterate state in this exact order."""
     model = SedFormer(small_config(blocks=2))
-    params = model.parameters()
-    assert "encoder.kernels" in params
-    assert "blocks.1.attn.w_q" in params
-    assert "embed" in params
-    bufs = model.buffers()
-    assert "encoder.bn.running_mean" in bufs
-    assert any(k.startswith("blocks.0.") for k in bufs)
+    assert list(model.parameters()) == PARAM_NAMES
+    assert list(model.buffers()) == BUFFER_NAMES
+    assert len(model.batch_norms()) == 1 + 2 * 5
+
+
+class _Forwarding:
+    """Stand-in that forwards attribute access, as an external tracer does."""
+
+    def __init__(self, target):
+        self._target = target
+
+    def __call__(self, *args):
+        return self._target(*args)
+
+    def __getattr__(self, attr):
+        return getattr(self._target, attr)
+
+
+def test_state_survives_forwarding_stand_in():
+    model = SedFormer(small_config(blocks=2))
+    params, bufs, norms = model.parameters(), model.buffers(), model.batch_norms()
+    block = model.blocks[1]
+    block.attn = _Forwarding(block.attn)
+    assert list(model.parameters().items()) == list(params.items())
+    assert list(model.buffers()) == list(bufs)
+    assert all(a is b for a, b in zip(model.buffers().values(), bufs.values()))
+    assert [id(bn) for bn in model.batch_norms()] == [id(bn) for bn in norms]
+
+
+def test_history_shorter_than_stride():
+    """K < pool_stride pools the whole history into one step."""
+    model = SedFormer(small_config(n_variates=2, pool_stride=4))
+    for k in (1, 2, 3):
+        times = np.arange(k, dtype=np.float64)
+        series = EventSeries(times=times, values=np.linspace(-1.0, 1.0, 2 * k).reshape(k, 2),
+                             mask=np.ones((k, 2)))
+        q = [times[-1] + np.array([1.0, 2.0]), times[-1] + np.array([3.0])]
+        preds = model.predict(series, q)
+        assert [p.shape for p in preds] == [(2,), (1,)]
+        assert all(np.all(np.isfinite(p)) for p in preds)
+        item = WindowItem(series=series, query_times=q, targets=[np.zeros(2), np.zeros(1)])
+        report = model_energy_report(model, [item])
+        assert report["firing"]["pooled_events"] == 1
+        assert np.isfinite(report["total_pj"])
+
+
+def test_non_finite_queries_and_targets_rejected(rng):
+    model = SedFormer(small_config())
+    series = random_series(rng, n_events=10)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DataError):
+            model.predict(series, [np.array([95.0, bad]), np.array([]), np.array([96.0])])
+        with pytest.raises(DataError):
+            WindowItem(series=series, query_times=[np.array([95.0])] * 3,
+                       targets=[np.array([0.0]), np.array([bad]), np.array([0.0])])
 
 
 def test_load_state_roundtrip(rng):

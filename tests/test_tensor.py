@@ -18,6 +18,10 @@ def test_matmul_value():
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError):  # batch shapes must be equal, no broadcasting
+        Tensor(np.ones((2, 4, 3))) @ Tensor(np.ones((3, 3, 5)))
+    with pytest.raises(ShapeError):
+        Tensor(np.ones((2, 4, 3))) @ Tensor(np.ones((3, 5)))
 
 
 def test_softplus_values():
@@ -57,6 +61,8 @@ def test_broadcast_backward():
     lambda x, y: x[1:, :].sum() + y[:, 0].sum(),
     lambda x, y: concat([x, y], axis=0).mean(),
     lambda x, y: x.sum(axis=0).mean() + y.mean(),
+    lambda x, y: ((x.reshape(2, 2, 3) @ y.reshape(2, 3, 2)) ** 2).sum(),
+    lambda x, y: (x.reshape(2, 3, 2).transpose(2, 0, 1).reshape(-1) * y.reshape(-1)).sum(),
 ])
 def test_op_gradients(op):
     rng = np.random.default_rng(11)
@@ -146,6 +152,9 @@ def test_mac_counter_matmul():
     with mac_counter() as macs:
         Tensor(np.ones((3, 4))) @ Tensor(np.ones((4, 5)))
     assert macs.total == 3 * 4 * 5
+    with mac_counter() as macs:
+        Tensor(np.ones((2, 3, 4))) @ Tensor(np.ones((2, 4, 5)))
+    assert macs.total == 2 * 3 * 4 * 5
 
 
 def test_no_grad_blocks_tape():
