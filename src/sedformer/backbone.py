@@ -50,12 +50,15 @@ class TimeEmbedding(Module):
 
 def embed_tokens(spikes: Tensor, times: np.ndarray, embed: Tensor,
                  te: TimeEmbedding) -> Tensor:
-    """Project pooled spikes [K', D, C] to tokens [K', D, d] and add TE(t')."""
-    Kp, D, C = spikes.shape
+    """Project pooled spikes [K', D, C] to tokens [K', D, d] and add TE(t').
+
+    A time-major batch (spikes [K', B, D, C], times [K', B]) works the same.
+    """
+    C = spikes.shape[-1]
     if embed.shape[0] != C:
         raise ShapeError(f"embedding expects {embed.shape[0]} channels, raster has {C}")
-    tok = (spikes.reshape(Kp * D, C) @ embed).reshape(Kp, D, embed.shape[1])
-    return tok + te(times).reshape(Kp, 1, te.dim)
+    tok = (spikes.reshape(-1, C) @ embed).reshape(spikes.shape[:-1] + (embed.shape[1],))
+    return tok + te(times).reshape(np.shape(times) + (1, te.dim))
 
 
 class SedAttention(Module):
@@ -68,6 +71,10 @@ class SedAttention(Module):
         k_sum = sum_w sum_rows phi_k[w]           [d_h]
         y[u]  = (phi_q[u] KV) / (phi_q[u] k_sum + eps)
     Sums run over all pooled steps and variates (non-causal).
+
+    A time-major batch x [K', B, D, d] with gaps [K', B] and ``lengths``
+    (pooled steps per window, see ``window_lengths``) keeps every window's
+    sums to its own tokens; pads are masked out of ``KV`` and ``k_sum``.
     """
 
     def __init__(self, dim: int, heads: int, tau_init: float = 2.0,
@@ -90,24 +97,38 @@ class SedAttention(Module):
         self.eta_v = parameter(eta_for_tau_init(tau_init))
         self.bn_q, self.bn_k, self.bn_v = BatchNorm(dim), BatchNorm(dim), BatchNorm(dim)
 
-    def __call__(self, x: Tensor, gaps: np.ndarray) -> Tensor:
-        Kp, D, dim = x.shape
+    def __call__(self, x: Tensor, gaps: np.ndarray,
+                 lengths: np.ndarray | None = None) -> Tensor:
+        Kp, dim = x.shape[0], x.shape[-1]
         if dim != self.dim:
             raise ShapeError(f"attention built for dim {self.dim}, got {dim}")
-        N, H = Kp * D, self.heads
-        x_flat = x.reshape(N, dim)
+        H, dh = self.heads, self.d_head
+        batch = lengths is not None
+        if batch:
+            B, D = x.shape[1], x.shape[2]
+        x_flat = x.reshape(-1, dim)
 
-        def heads(w, bn, eta, squash):  # -> [H, N, d_h]
-            f = ealif_filter(bn(x_flat @ w).reshape(Kp, D, dim), gaps, eta, squash=squash)
-            return f.reshape(N, H, self.d_head).transpose(1, 0, 2)
+        def heads(w, bn, eta, squash):  # -> [H, N, d_h], or [B, H, N_b, d_h]
+            f = ealif_filter(bn((x_flat @ w).reshape(x.shape), lengths), gaps, eta, squash=squash)
+            if not batch:
+                return f.reshape(-1, H, dh).transpose(1, 0, 2)
+            # batch-major first, so each window's tokens are contiguous
+            return f.transpose(1, 0, 2, 3).reshape(B, Kp * D, H, dh).transpose(0, 2, 1, 3)
 
         phi_q = heads(self.w_q, self.bn_q, self.eta_q, "softplus")
         phi_k = heads(self.w_k, self.bn_k, self.eta_k, "softplus")
         vtil = heads(self.w_v, self.bn_v, self.eta_v, None)
-        kv = phi_k.transpose(0, 2, 1) @ vtil                      # [H, d_h, d_h]
-        k_sum = phi_k.sum(axis=1, keepdims=True).transpose(0, 2, 1)  # [H, d_h, 1]
-        y = (phi_q @ kv) / (phi_q @ k_sum + self.eps)             # [H, N, d_h]
-        return (y.transpose(1, 0, 2).reshape(N, dim) @ self.w_o).reshape(Kp, D, dim)
+        if batch and np.any(lengths < Kp):  # keep pads out of KV and k_sum
+            real = np.repeat(np.arange(Kp) < lengths[:, None], D, axis=1)  # [B, N_b]
+            phi_k = phi_k * Tensor(real[:, None, :, None])
+        flip = (0, 1, 3, 2) if batch else (0, 2, 1)  # swap the last two axes
+        kv = phi_k.transpose(*flip) @ vtil                               # [.., H, d_h, d_h]
+        k_sum = phi_k.sum(axis=-2, keepdims=True).transpose(*flip)       # [.., H, d_h, 1]
+        y = (phi_q @ kv) / (phi_q @ k_sum + self.eps)                    # [.., H, N, d_h]
+        if not batch:
+            return (y.transpose(1, 0, 2).reshape(-1, dim) @ self.w_o).reshape(x.shape)
+        out = y.transpose(0, 2, 1, 3).reshape(-1, dim) @ self.w_o
+        return out.reshape(B, Kp, D, dim).transpose(1, 0, 2, 3)
 
 
 class FeedForward(Module):
@@ -122,10 +143,8 @@ class FeedForward(Module):
         self.b2 = parameter(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        Kp, D, dim = x.shape
-        flat = x.reshape(Kp * D, dim)
-        h = (flat @ self.w1 + self.b1).relu()
-        return (h @ self.w2 + self.b2).reshape(Kp, D, dim)
+        h = (x.reshape(-1, x.shape[-1]) @ self.w1 + self.b1).relu()
+        return (h @ self.w2 + self.b2).reshape(x.shape)
 
 
 class Block(Module):
@@ -137,26 +156,28 @@ class Block(Module):
         self.ffn = FeedForward(dim, seed=seed + 1)
         self.bn1, self.bn2 = BatchNorm(dim), BatchNorm(dim)
 
-    def __call__(self, x: Tensor, gaps: np.ndarray) -> Tensor:
-        x = x + self.attn(self.bn1(x), gaps)
-        return x + self.ffn(self.bn2(x))
+    def __call__(self, x: Tensor, gaps: np.ndarray,
+                 lengths: np.ndarray | None = None) -> Tensor:
+        x = x + self.attn(self.bn1(x, lengths), gaps, lengths)
+        return x + self.ffn(self.bn2(x, lengths))
 
 
 def aggregate_observed(x: Tensor, mask: np.ndarray) -> Tensor:
     """Per-variate mean of token states over observed pooled steps.
 
-    x: [K', D, d]; mask: [K', D]. A variate with no observed step yields a
-    zero vector (with a warning) rather than NaN.
+    x: [K', D, d]; mask: [K', D] -> [D, d]. A time-major batch (x
+    [K', B, D, d], mask [K', B, D]) gives [B, D, d]; its pads carry mask 0
+    and so weigh nothing. A variate with no observed step yields a zero
+    vector (with a warning) rather than NaN.
     """
-    Kp, D, dim = x.shape
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (Kp, D):
-        raise ShapeError(f"mask shape {mask.shape} does not match tokens {(Kp, D)}")
+    if mask.shape != x.shape[:-1]:
+        raise ShapeError(f"mask shape {mask.shape} does not match tokens {x.shape[:-1]}")
     counts = mask.sum(axis=0)
     empty = counts == 0
     if np.any(empty):
         warnings.warn(f"{int(empty.sum())} variate(s) have no observed pooled step; "
                       "their summary is zero")
-    weights = mask / np.where(empty, 1.0, counts)  # [K', D]; empty columns are 0
+    weights = mask / np.where(empty, 1.0, counts)  # [K', (B,) D]; empty columns are 0
     # z[d] = sum_u weights[u, d] * x[u, d, :]
-    return (x * Tensor(weights[:, :, None])).sum(axis=0)
+    return (x * Tensor(weights[..., None])).sum(axis=0)

@@ -575,6 +575,20 @@ def write_dataset(out_dir: str, splits: dict, meta: dict) -> None:
                         w.writerow([i, "query", repr(float(t)), d, repr(float(val))])
 
 
+def _parse_row(row: list[str], n_variates: int, where: str):
+    """(window, role, t, variate, value) of one dataset row, or a DataError at ``where``."""
+    if len(row) != 5:
+        raise DataError(f"{where}: expected 5 cells (window,role,t,variate,value), "
+                        f"got {len(row)}")
+    try:
+        i, t, d, v = int(row[0]), float(row[2]), int(row[3]), float(row[4])
+    except ValueError as e:
+        raise DataError(f"{where}: {e}") from None
+    if not 0 <= d < n_variates:
+        raise DataError(f"{where}: variate {d} outside 0..{n_variates - 1}")
+    return i, row[1], t, d, v
+
+
 def read_dataset(data_dir: str) -> tuple[dict, dict]:
     """Inverse of write_dataset. Returns (splits, meta)."""
     meta_path = os.path.join(data_dir, "meta.json")
@@ -595,7 +609,7 @@ def read_dataset(data_dir: str) -> tuple[dict, dict]:
             if header != ["window", "role", "t", "variate", "value"]:
                 raise DataError(f"{path}: unexpected header {header}")
             for row in r:
-                i, role, t, d, v = int(row[0]), row[1], float(row[2]), int(row[3]), float(row[4])
+                i, role, t, d, v = _parse_row(row, n_variates, f"{path}:{r.line_num}")
                 w = windows.setdefault(i, {"obs": [[] for _ in range(n_variates)],
                                            "q": [[] for _ in range(n_variates)]})
                 if role == "obs":
@@ -603,7 +617,7 @@ def read_dataset(data_dir: str) -> tuple[dict, dict]:
                 elif role == "query":
                     w["q"][d].append((t, v))
                 else:
-                    raise DataError(f"{path}: unknown role {role!r}")
+                    raise DataError(f"{path}:{r.line_num}: unknown role {role!r}")
         items = []
         for i in sorted(windows):
             w = windows[i]

@@ -72,6 +72,58 @@ class EventSeries:
         return np.where(self.mask == 1.0, self.values, 0.0)
 
 
+@dataclass
+class EventBatch:
+    """B event series padded to a common length, time-major.
+
+    times: [K, B]; values, mask: [K, B, D]. Window b holds its events in
+    its first K_b rows. The rows after them are pads: mask 0, value 0, and
+    the window's last stamp repeated. Since a real event observes at least
+    one variate, the pads are exactly the rows with an all-zero mask, and
+    each pad's gap is 0.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def stack(cls, series: list[EventSeries]) -> "EventBatch":
+        if not series:
+            raise DataError("a batch needs at least one series")
+        D = series[0].n_variates
+        if any(s.n_variates != D for s in series):
+            raise DataError("every series of a batch needs the same variates")
+        K, B = max(s.n_events for s in series), len(series)
+        times = np.empty((K, B))
+        values = np.zeros((K, B, D))
+        mask = np.zeros((K, B, D))
+        for b, s in enumerate(series):
+            n = s.n_events
+            times[:n, b] = s.times
+            times[n:, b] = s.times[-1]
+            values[:n, b] = s.values
+            mask[:n, b] = s.mask
+        return cls(times=times, values=values, mask=mask)
+
+    @property
+    def n_variates(self) -> int:
+        return self.values.shape[-1]
+
+    def observed_values(self) -> np.ndarray:
+        """Values with unobserved entries (pads included) forced to zero."""
+        return np.where(self.mask == 1.0, self.values, 0.0)
+
+
+def window_lengths(mask: np.ndarray) -> np.ndarray | None:
+    """Real rows per window of a time-major batch mask [K, B, D]: those
+    before its pads. None for a single window's mask [K, D]."""
+    mask = np.asarray(mask)
+    if mask.ndim < 3:
+        return None
+    return np.count_nonzero(mask.any(axis=-1), axis=0)
+
+
 def align_events(per_variate: list[tuple[np.ndarray, np.ndarray]]) -> EventSeries:
     """Merge per-variate (times, values) streams onto the union time axis.
 
@@ -105,18 +157,24 @@ def align_events(per_variate: list[tuple[np.ndarray, np.ndarray]]) -> EventSerie
 
 
 def event_gaps(times: np.ndarray, first_gap: str = "zero") -> np.ndarray:
-    """Gaps dt_k = t_k - t_{k-1}; the first event has no predecessor.
+    """Gaps dt_k = t_k - t_{k-1} along axis 0; the first event has no predecessor.
 
-    first_gap "zero" sets dt_1 = 0; "median" uses the median later gap
-    (0 when the series has a single event).
+    times: [K], or [K, B] for a time-major batch (see ``EventBatch``).
+    first_gap "zero" sets dt_1 = 0; "median" uses the median later gap of
+    the window (0 when it has a single event). Stamps strictly increase
+    and pads repeat the last one, so a window's later gaps are exactly its
+    positive ones.
     """
     times = np.asarray(times, dtype=np.float64)
     gaps = np.empty_like(times)
-    gaps[1:] = np.diff(times)
+    gaps[1:] = np.diff(times, axis=0)
     if first_gap == "zero":
         gaps[0] = 0.0
     elif first_gap == "median":
-        gaps[0] = float(np.median(gaps[1:])) if times.size > 1 else 0.0
+        later = gaps[1:].reshape(times.shape[0] - 1, gaps[0].size)  # a column per window
+        medians = [float(np.median(col[col > 0])) if np.any(col > 0) else 0.0
+                   for col in later.T]
+        gaps[0] = np.reshape(medians, gaps.shape[1:])
     else:
         raise ConfigError(f"first_gap must be 'zero' or 'median', got {first_gap!r}")
     return gaps
@@ -172,19 +230,24 @@ class SedSeEncoder(Module):
         dt_hat = (Tensor(np.asarray(gaps, dtype=np.float64)) / rho).log1p()
         return (dt_hat * self.gate_a + self.gate_b).sigmoid()
 
-    def drive_current(self, series: EventSeries) -> tuple[Tensor, np.ndarray]:
-        """Input current I [K, D, C] to the spiking scan, plus gaps [K]."""
+    def drive_current(self, series: EventSeries | EventBatch) -> tuple[Tensor, np.ndarray]:
+        """Input current I [K, D, C] to the spiking scan, plus gaps [K].
+
+        An ``EventBatch`` gives I [K, B, D, C] and gaps [K, B].
+        """
         if series.n_variates != self.n_variates:
             raise DataError(
                 f"encoder built for {self.n_variates} variates, series has {series.n_variates}")
-        x_loc = self.bn(depthwise_conv1d(Tensor(series.observed_values()), self.kernels))
+        x_loc = self.bn(depthwise_conv1d(Tensor(series.observed_values()), self.kernels),
+                        window_lengths(series.mask))
         gaps = event_gaps(series.times, first_gap=self.first_gap)
-        s = self.gate(gaps).reshape(-1, 1, 1)
+        s = self.gate(gaps).reshape(gaps.shape + (1, 1))
         gamma = self.gamma_hat.softplus()
         return (x_loc * s - self.theta) * gamma, gaps
 
-    def encode(self, series: EventSeries, smooth: bool = False) -> tuple[Tensor, np.ndarray]:
-        """Spike raster [K, D, C] and the event gaps used for decay."""
+    def encode(self, series: EventSeries | EventBatch,
+               smooth: bool = False) -> tuple[Tensor, np.ndarray]:
+        """Spike raster [K, D, C] ([K, B, D, C] for a batch) and the event gaps used for decay."""
         current, gaps = self.drive_current(series)
         spikes = ealif_spike_scan(current, gaps, self.eta, v_th=self.v_th,
                                   alpha=self.alpha, smooth=smooth)

@@ -346,8 +346,13 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def is_recording(*parents: Tensor) -> bool:
+    """Whether an op on these inputs goes on the tape (grad enabled, one input trainable)."""
+    return _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
+
+
 def _op(data, parents, backward) -> Tensor:
-    if _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents):
+    if is_recording(*parents):
         out = Tensor(data, requires_grad=True)
         out._parents = tuple(parents)
         out._backward = backward
@@ -448,31 +453,34 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     """Per-variate 1-D convolution over the event axis, zero 'same' padding.
 
-    x: [K, D]; kernels: [D, C, k] with k odd. Output [K, D, C]. Each variate
-    is convolved with its own C kernels; no cross-variate mixing.
+    x: [K, ..., D]; kernels: [D, C, k] with k odd. Output [K, ..., D, C].
+    Each variate is convolved with its own C kernels along axis 0; no
+    cross-variate mixing. Middle axes (a batch of windows) are independent.
     """
     x, kernels = _coerce(x), _coerce(kernels)
-    if x.ndim != 2 or kernels.ndim != 3:
-        raise ShapeError(f"conv expects x [K,D], kernels [D,C,k]; got {x.shape}, {kernels.shape}")
-    K, D = x.shape
+    if x.ndim < 2 or kernels.ndim != 3:
+        raise ShapeError(f"conv expects x [K,...,D], kernels [D,C,k]; got {x.shape}, "
+                         f"{kernels.shape}")
+    K, D = x.shape[0], x.shape[-1]
     Dk, C, k = kernels.shape
     if Dk != D:
         raise ShapeError(f"kernel variate dim {Dk} != input variate dim {D}")
     if k % 2 == 0:
         raise ConfigError(f"kernel size must be odd, got {k}")
     r = (k - 1) // 2
-    x_pad = np.pad(x.data, ((r, r), (0, 0)))
-    out = np.zeros((K, D, C))
+    x_pad = np.pad(x.data, ((r, r),) + ((0, 0),) * (x.ndim - 1))
+    out = np.zeros(x.shape + (C,))
     for j in range(k):
-        out += kernels.data[None, :, :, j] * x_pad[j:j + K, :, None]
-    _count_macs(K * D * C * k)
+        out += kernels.data[:, :, j] * x_pad[j:j + K, ..., None]
+    _count_macs(out.size * k)
+    lead = tuple(range(x.ndim - 1))  # every axis but the variate axis
 
     def bwd(g):
         gx_pad = np.zeros_like(x_pad)
         gk = np.zeros_like(kernels.data)
         for j in range(k):
-            gx_pad[j:j + K] += (g * kernels.data[None, :, :, j]).sum(axis=2)
-            gk[:, :, j] = (g * x_pad[j:j + K, :, None]).sum(axis=0)
+            gx_pad[j:j + K] += (g * kernels.data[:, :, j]).sum(axis=-1)
+            gk[:, :, j] = (g * x_pad[j:j + K, ..., None]).sum(axis=lead)
         _accum(x, gx_pad[r:r + K])
         _accum(kernels, gk)
 
@@ -555,15 +563,25 @@ class BatchNorm(Module):
         self.running_mean[...] = mean
         self.running_var[...] = np.maximum(sq / n - mean * mean, 0.0)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
+        """Normalize ``x`` [..., C] with the stored statistics.
+
+        With ``lengths``, x is a time-major batch [K, B, ..., C] whose window
+        b holds real rows only before ``lengths[b]``; the pads after them
+        stay out of the accumulated moments, which take each window in turn
+        exactly as one call per window would.
+        """
         if x.shape[-1] != self.channels:
             raise ShapeError(f"expected trailing dim {self.channels}, got {x.shape}")
         orig_shape = x.shape
         flat = x.reshape(-1, self.channels)
         if self._acc is not None:
-            self._acc[0] += flat.shape[0]
-            self._acc[1] += flat.data.sum(axis=0)
-            self._acc[2] += (flat.data * flat.data).sum(axis=0)
+            windows = [flat.data] if lengths is None else [
+                x.data[:n, b].reshape(-1, self.channels) for b, n in enumerate(lengths)]
+            for rows in windows:
+                self._acc[0] += rows.shape[0]
+                self._acc[1] += rows.sum(axis=0)
+                self._acc[2] += (rows * rows).sum(axis=0)
         xhat = (flat - self.running_mean) * ((self.running_var + self.eps) ** -0.5)
         out = xhat * self.gamma + self.beta
         return out.reshape(orig_shape)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .encoder import EventSeries
 from .errors import ConfigError, DataError, NumericsError
-from .model import ModelConfig, SedFormer
-from .tensor import Tensor, assert_finite
+from .model import ModelConfig, SedFormer, batch_ranges
+from .tensor import Tensor, assert_finite, no_grad
 
 
 @dataclass
@@ -151,12 +151,22 @@ class TrainConfig:
 
 
 def evaluate(model: SedFormer, items: list[WindowItem]) -> dict:
-    """Pooled metrics in inference mode (hard spikes, no tape)."""
+    """Pooled metrics in inference mode (hard spikes, no tape).
+
+    Windows run in batches (``batch_ranges``); each prediction equals that
+    of a ``predict`` call on its window alone.
+    """
     errs = []
-    for item in items:
-        preds = model.predict(item.series, item.query_times)
-        errs.append(flat_errors(preds, item.targets))
-    return flat_metrics(np.concatenate(errs) if errs else np.zeros(0))
+    with no_grad():
+        for run in batch_ranges([item.series for item in items],
+                                [item.n_queries for item in items]):
+            batch = items[run.start:run.stop]
+            preds = model.forward([item.series for item in batch],
+                                  [item.query_times for item in batch])
+            errs.extend(flat_errors(p, item.targets) for p, item in zip(preds, batch))
+    e = np.concatenate(errs) if errs else np.zeros(0)
+    assert_finite(e, "prediction errors")
+    return flat_metrics(e)
 
 
 def train(model: SedFormer, train_items: list[WindowItem],
@@ -188,6 +198,9 @@ def train(model: SedFormer, train_items: list[WindowItem],
             opt.zero_grad()
             batch_loss = 0.0
             for item in batch:
+                # one window per forward: a batched forward would keep every
+                # window's tape alive until the backward (peak RSS 92 -> 162 MiB
+                # at 16 windows on the benchmark's suite workload)
                 preds = model.forward(item.series, item.query_times)
                 loss = variate_balanced_mse(preds, item.targets) * (1.0 / len(batch))
                 assert_finite(loss, "training loss")

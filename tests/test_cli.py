@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -141,16 +142,43 @@ def test_missing_inputs_exit_2(tmp_path, workdir):
                  "--out-dir", out]) == 2
 
 
-def test_non_finite_query_stamp_exits_2(tmp_path, workdir):
+def _eval_edited_test_split(tmp_path, workdir, edit) -> int:
+    """``sedformer eval`` on a copy of the dataset whose test.csv rows went through ``edit``."""
     data = tmp_path / "data"
     data.mkdir()
     for name in ("meta.json", "test.csv"):
-        (data / name).write_text(open(os.path.join(workdir["data"], name)).read())
+        (data / name).write_text(Path(workdir["data"], name).read_text())
     with open(data / "test.csv", newline="") as f:
         rows = list(csv.reader(f))
-    first_query = next(i for i, r in enumerate(rows) if r[1] == "query")
-    rows[first_query][2] = "inf"
+    edit(rows)
     with open(data / "test.csv", "w", newline="") as f:
         csv.writer(f).writerows(rows)
-    assert main(["eval", "--data", str(data), "--checkpoint", workdir["ckpt"],
-                 "--split", "test", "--out-dir", str(tmp_path / "out")]) == 2
+    return main(["eval", "--data", str(data), "--checkpoint", workdir["ckpt"],
+                 "--split", "test", "--out-dir", str(tmp_path / "out")])
+
+
+def test_non_finite_query_stamp_exits_2(tmp_path, workdir):
+    def edit(rows):
+        first_query = next(i for i, r in enumerate(rows) if r[1] == "query")
+        rows[first_query][2] = "inf"
+
+    assert _eval_edited_test_split(tmp_path, workdir, edit) == 2
+
+
+def _set_cell(col, value):
+    def edit(rows):
+        rows[1][col] = value
+    return edit
+
+
+def _cut_row(rows):
+    rows[1] = rows[1][:3]
+
+
+@pytest.mark.parametrize("edit", [_set_cell(3, "x"), _cut_row, _set_cell(3, "99"),
+                                  _set_cell(3, "-1")],
+                         ids=["non-numeric", "short-row", "variate-too-large",
+                              "negative-variate"])
+def test_malformed_dataset_row_exits_2(tmp_path, workdir, capsys, edit):
+    assert _eval_edited_test_split(tmp_path, workdir, edit) == 2
+    assert "test.csv:2:" in capsys.readouterr().err
