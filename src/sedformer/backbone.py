@@ -10,6 +10,7 @@ the squash.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -99,36 +100,29 @@ class SedAttention(Module):
 
     def __call__(self, x: Tensor, gaps: np.ndarray,
                  lengths: np.ndarray | None = None) -> Tensor:
-        Kp, dim = x.shape[0], x.shape[-1]
+        dim = x.shape[-1]
         if dim != self.dim:
             raise ShapeError(f"attention built for dim {self.dim}, got {dim}")
+        Kp, D = x.shape[0], x.shape[-2]
+        B = math.prod(x.shape[1:-2])  # a lone window [K', D, d] is a batch of one
         H, dh = self.heads, self.d_head
-        batch = lengths is not None
-        if batch:
-            B, D = x.shape[1], x.shape[2]
         x_flat = x.reshape(-1, dim)
 
-        def heads(w, bn, eta, squash):  # -> [H, N, d_h], or [B, H, N_b, d_h]
+        def heads(w, bn, eta, squash):  # -> [B, H, K'*D, d_h], each window's tokens contiguous
             f = ealif_filter(bn((x_flat @ w).reshape(x.shape), lengths), gaps, eta, squash=squash)
-            if not batch:
-                return f.reshape(-1, H, dh).transpose(1, 0, 2)
-            # batch-major first, so each window's tokens are contiguous
-            return f.transpose(1, 0, 2, 3).reshape(B, Kp * D, H, dh).transpose(0, 2, 1, 3)
+            return f.reshape(Kp, B, D, H, dh).transpose(1, 3, 0, 2, 4).reshape(B, H, Kp * D, dh)
 
         phi_q = heads(self.w_q, self.bn_q, self.eta_q, "softplus")
         phi_k = heads(self.w_k, self.bn_k, self.eta_k, "softplus")
         vtil = heads(self.w_v, self.bn_v, self.eta_v, None)
-        if batch and np.any(lengths < Kp):  # keep pads out of KV and k_sum
-            real = np.repeat(np.arange(Kp) < lengths[:, None], D, axis=1)  # [B, N_b]
+        if lengths is not None and np.any(lengths < Kp):  # keep pads out of KV and k_sum
+            real = np.repeat(np.arange(Kp) < lengths[:, None], D, axis=1)  # [B, K'*D]
             phi_k = phi_k * Tensor(real[:, None, :, None])
-        flip = (0, 1, 3, 2) if batch else (0, 2, 1)  # swap the last two axes
-        kv = phi_k.transpose(*flip) @ vtil                               # [.., H, d_h, d_h]
-        k_sum = phi_k.sum(axis=-2, keepdims=True).transpose(*flip)       # [.., H, d_h, 1]
-        y = (phi_q @ kv) / (phi_q @ k_sum + self.eps)                    # [.., H, N, d_h]
-        if not batch:
-            return (y.transpose(1, 0, 2).reshape(-1, dim) @ self.w_o).reshape(x.shape)
-        out = y.transpose(0, 2, 1, 3).reshape(-1, dim) @ self.w_o
-        return out.reshape(B, Kp, D, dim).transpose(1, 0, 2, 3)
+        kv = phi_k.transpose(0, 1, 3, 2) @ vtil                                # [B, H, d_h, d_h]
+        k_sum = phi_k.sum(axis=-2, keepdims=True).transpose(0, 1, 3, 2)        # [B, H, d_h, 1]
+        y = (phi_q @ kv) / (phi_q @ k_sum + self.eps)                          # [B, H, K'*D, d_h]
+        y = y.reshape(B, H, Kp, D, dh).transpose(2, 0, 3, 1, 4).reshape(-1, dim)
+        return (y @ self.w_o).reshape(x.shape)
 
 
 class FeedForward(Module):

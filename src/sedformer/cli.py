@@ -46,17 +46,42 @@ def _out_dir(path: str) -> str:
     return full
 
 
+def _config_file(path: str, command: str, defaults: dict) -> dict:
+    """Settings of a --config file: a JSON object keyed by option name.
+
+    Each value goes through its flag (``"batch_size": 8`` as ``--batch-size=8``)
+    and so meets its type and choices; a store-true flag takes true or false,
+    and null keeps the default.
+    """
+    with open(path) as f:
+        try:
+            cfg = json.load(f)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
+    unknown = set(cfg) - set(defaults)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+    argv = [command]
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if defaults[key] is False and isinstance(value, bool):  # store-true
+            argv += [flag] * value
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    try:
+        parsed = vars(build_parser(exit_on_error=False).parse_args(argv))
+    except argparse.ArgumentError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    return {key: parsed[key] for key in cfg if parsed[key] is not None}
+
+
 def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     """defaults < --config file < explicit flags (flags parse to None when unset)."""
     resolved = dict(defaults)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        with open(cfg_path) as f:
-            file_cfg = json.load(f)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_cfg)
+    if args.config:
+        resolved.update(_config_file(args.config, args.command, defaults))
     for key in defaults:
         v = getattr(args, key, None)
         if v is not None:
@@ -292,19 +317,20 @@ def cmd_energy(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="sedformer",
+def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="sedformer", exit_on_error=exit_on_error,
                                 description="Event-synchronous spiking forecaster")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, summary):
+        sp = sub.add_parser(name, help=summary, exit_on_error=exit_on_error)
         sp.add_argument("--out-dir", default=".", help="output directory "
                         f"(relative paths join ${OUT_ROOT_ENV})")
         sp.add_argument("--config", default=None,
                         help="JSON file overriding command defaults")
+        return sp
 
-    sp = sub.add_parser("prepare", help="clean, sparsify and window a corpus")
-    common(sp)
+    sp = command("prepare", "clean, sparsify and window a corpus")
     sp.add_argument("--corpus", help="wide daily CSV (rows=variates)")
     sp.add_argument("--synthetic", action="store_true", default=None,
                     help="generate the seeded synthetic suite instead")
@@ -320,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--days", type=int, help="synthetic: days per panel")
     sp.set_defaults(func=cmd_prepare)
 
-    sp = sub.add_parser("train", help="train on a prepared dataset")
-    common(sp)
+    sp = command("train", "train on a prepared dataset")
     sp.add_argument("--data", help="prepared dataset directory")
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--batch-size", type=int, dest="batch_size")
@@ -338,15 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--first-gap", choices=["zero", "median"], dest="first_gap")
     sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(sp)
+    sp = command("eval", "evaluate a checkpoint")
     sp.add_argument("--data")
     sp.add_argument("--checkpoint")
     sp.add_argument("--split", choices=["train", "val", "test", "all"])
     sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("viz", help="spike-raster dataset, CSVs and SVG")
-    common(sp)
+    sp = command("viz", "spike-raster dataset, CSVs and SVG")
     sp.add_argument("--sparse", type=int, help="samples in the sparse phase")
     sp.add_argument("--dense", type=int, help="samples in the dense phase")
     sp.add_argument("--noise-std", type=float, dest="noise_std")
@@ -360,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=float)
     sp.set_defaults(func=cmd_viz)
 
-    sp = sub.add_parser("energy", help="operation counts and energy estimate")
-    common(sp)
+    sp = command("energy", "operation counts and energy estimate")
     sp.add_argument("--data")
     sp.add_argument("--checkpoint")
     sp.add_argument("--split", choices=["train", "val", "test"])

@@ -594,9 +594,12 @@ def read_dataset(data_dir: str) -> tuple[dict, dict]:
     meta_path = os.path.join(data_dir, "meta.json")
     if not os.path.exists(meta_path):
         raise DataError(f"{data_dir}: missing meta.json")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    n_variates = int(meta["n_variates"])
+    try:
+        with open(meta_path) as f:
+            meta = json.load(f)
+        n_variates = int(meta["n_variates"])
+    except (ValueError, TypeError, KeyError) as e:  # JSONDecodeError is a ValueError
+        raise DataError(f"{meta_path}: need a JSON object with integer n_variates: {e!r}") from None
     splits = {}
     for split in ("train", "val", "test"):
         path = os.path.join(data_dir, f"{split}.csv")

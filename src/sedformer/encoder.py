@@ -13,7 +13,7 @@ an event-driven LIF scan that emits spikes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class EventSeries:
     def n_variates(self) -> int:
         return self.values.shape[1]
 
-    def observed_values(self) -> np.ndarray:
-        """Values with unobserved entries forced to zero."""
-        return np.where(self.mask == 1.0, self.values, 0.0)
-
 
 @dataclass
 class EventBatch:
@@ -109,10 +105,6 @@ class EventBatch:
     @property
     def n_variates(self) -> int:
         return self.values.shape[-1]
-
-    def observed_values(self) -> np.ndarray:
-        """Values with unobserved entries (pads included) forced to zero."""
-        return np.where(self.mask == 1.0, self.values, 0.0)
 
 
 def window_lengths(mask: np.ndarray) -> np.ndarray | None:
@@ -180,49 +172,38 @@ def event_gaps(times: np.ndarray, first_gap: str = "zero") -> np.ndarray:
     return gaps
 
 
-@dataclass
 class SedSeEncoder(Module):
     """Spike encoder: depthwise conv + batch norm, gap gate, EA-LIF scan.
 
     Produces a binary spike raster [K, D, C] from an EventSeries.
     """
 
-    n_variates: int
-    channels: int = 8
-    kernel_size: int = 3
-    tau_init: float = 2.0
-    v_th: float = 1.0
-    alpha: float = 4.0
-    first_gap: str = "zero"
-    seed: int = 0
-
-    kernels: Tensor = field(init=False)
-    bn: BatchNorm = field(init=False)
-    gate_a: Tensor = field(init=False)
-    gate_b: Tensor = field(init=False)
-    rho_hat: Tensor = field(init=False)
-    gamma_hat: Tensor = field(init=False)
-    theta: Tensor = field(init=False)
-    eta: Tensor = field(init=False)
-
-    def __post_init__(self):
-        if self.n_variates < 1 or self.channels < 1:
+    def __init__(self, n_variates: int, channels: int = 8, kernel_size: int = 3,
+                 tau_init: float = 2.0, v_th: float = 1.0, alpha: float = 4.0,
+                 first_gap: str = "zero", seed: int = 0):
+        if n_variates < 1 or channels < 1:
             raise ConfigError("need at least one variate and one channel")
-        if self.kernel_size % 2 == 0 or self.kernel_size < 1:
-            raise ConfigError(f"kernel size must be odd, got {self.kernel_size}")
-        rng = np.random.default_rng(self.seed)
-        bound = 1.0 / np.sqrt(self.kernel_size)
+        if kernel_size % 2 == 0 or kernel_size < 1:
+            raise ConfigError(f"kernel size must be odd, got {kernel_size}")
+        self.n_variates = n_variates
+        self.channels = channels
+        self.kernel_size = kernel_size
+        self.v_th = v_th
+        self.alpha = alpha
+        self.first_gap = first_gap
+        rng = np.random.default_rng(seed)
+        bound = 1.0 / np.sqrt(kernel_size)
         self.kernels = parameter(
-            rng.uniform(-bound, bound, size=(self.n_variates, self.channels, self.kernel_size)))
-        self.bn = BatchNorm(self.channels)
+            rng.uniform(-bound, bound, size=(n_variates, channels, kernel_size)))
+        self.bn = BatchNorm(channels)
         self.gate_a = parameter(1.0)
         self.gate_b = parameter(0.0)
         # softplus(rho_hat) + 1e-3 == 1.0 at init
         self.rho_hat = parameter(np.log(np.expm1(1.0 - 1e-3)))
         # softplus(gamma_hat) == 1.0 at init
         self.gamma_hat = parameter(np.log(np.expm1(1.0)))
-        self.theta = parameter(np.zeros(self.channels))
-        self.eta = parameter(eta_for_tau_init(self.tau_init))
+        self.theta = parameter(np.zeros(channels))
+        self.eta = parameter(eta_for_tau_init(tau_init))
 
     def gate(self, gaps: np.ndarray) -> Tensor:
         """Staleness gate s_k = sigmoid(a * log(1 + dt_k / rho) + b), [K]."""
@@ -238,7 +219,8 @@ class SedSeEncoder(Module):
         if series.n_variates != self.n_variates:
             raise DataError(
                 f"encoder built for {self.n_variates} variates, series has {series.n_variates}")
-        x_loc = self.bn(depthwise_conv1d(Tensor(series.observed_values()), self.kernels),
+        observed = np.where(series.mask == 1.0, series.values, 0.0)  # 0 where unobserved or pad
+        x_loc = self.bn(depthwise_conv1d(Tensor(observed), self.kernels),
                         window_lengths(series.mask))
         gaps = event_gaps(series.times, first_gap=self.first_gap)
         s = self.gate(gaps).reshape(gaps.shape + (1, 1))

@@ -189,30 +189,28 @@ class SedFormer(Module):
         every variate (and window) goes through one decoder call.
         """
         single = isinstance(series, EventSeries)
-        per_window = [query_times] if single else list(query_times)
-        if not single and not len(series):
-            raise DataError("a batch needs at least one series")
-        if not single and len(per_window) != len(series):
-            raise ConfigError(f"expected {len(series)} query sets, got {len(per_window)}")
+        windows, per_window = ([series], [query_times]) if single else (
+            list(series), list(query_times))
+        if len(per_window) != len(windows):
+            raise ConfigError(f"expected {len(windows)} query sets, got {len(per_window)}")
         for queries in per_window:
             if len(queries) != self.config.n_variates:
                 raise ConfigError(
                     f"expected {self.config.n_variates} query lists, got {len(queries)}")
+        z = self.summarize(series, smooth=smooth)  # [D, dim] or [B, D, dim]
         qs = [np.asarray(q, dtype=np.float64).reshape(-1) for qw in per_window for q in qw]
         stamps = np.concatenate(qs)
         if not np.all(np.isfinite(stamps)):
             raise DataError("query times must be finite")
-        z = self.summarize(series, smooth=smooth)  # [D, dim] or [B, D, dim]
         sizes = [q.size for q in qs]
         rows = np.repeat(np.arange(len(qs)), sizes)  # query -> its (window,) variate
         y = self.decoder(concat([z[np.unravel_index(rows, z.shape[:-1])], self.te(stamps)],
                                 axis=1)).reshape(-1)
         ends = np.cumsum(sizes)
         preds = [y[end - n:end] if n else None for n, end in zip(sizes, ends)]
-        if single:
-            return preds
         D = self.config.n_variates
-        return [preds[b * D:(b + 1) * D] for b in range(len(per_window))]
+        out = [preds[b * D:(b + 1) * D] for b in range(len(per_window))]
+        return out[0] if single else out
 
     def predict(self, series: EventSeries,
                 query_times: list[np.ndarray]) -> list[np.ndarray | None]:

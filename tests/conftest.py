@@ -1,8 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from sedformer.encoder import EventSeries
-from sedformer.tensor import Tensor
+# One BLAS/OpenMP thread, as benchmarks/run.py sets (THREAD_VARS), before
+# numpy loads. With OpenBLAS's default pool on a 2-CPU host and a second busy
+# process, one [720, 64] @ [64, 64] product took 6.8 ms instead of 0.26 ms.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from sedformer.encoder import EventSeries  # noqa: E402
+from sedformer.tensor import Tensor  # noqa: E402
 
 
 def numeric_grad(fn, leaves, step=1e-5):

@@ -70,7 +70,7 @@ def test_batched_forward_equals_single_windows(rng, first_gap):
     # not always bitwise: BLAS may round a matrix-vector product (the
     # decoder's last layer) differently for different row counts
     assert worst <= TOL
-    for s, q in zip(windows, queries):  # B = 1: the same row counts, so bitwise
+    for s, q in zip(windows, queries):  # a list of one equals the lone window, bitwise
         assert batch_gap(model, [s], [q]) == (0.0, True)
 
 
@@ -205,3 +205,4 @@ def test_property_batch_equals_single(data, n_variates, stride):
         b = model.forward(series, queries)
     assert all(x is None and y is None or x.data.tobytes() == y.data.tobytes()
                for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    assert all(x is None or np.all(np.isfinite(x.data)) for row in a for x in row)

@@ -182,3 +182,39 @@ def _cut_row(rows):
 def test_malformed_dataset_row_exits_2(tmp_path, workdir, capsys, edit):
     assert _eval_edited_test_split(tmp_path, workdir, edit) == 2
     assert "test.csv:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("prepare", "{bad", "not valid JSON"),
+    ("train", "{bad", "not valid JSON"),
+    ("prepare", "[1, 2]", "JSON object"),
+    ("train", '{"epochs": "abc"}', "--epochs: invalid int"),
+    ("train", '{"epochs": 2.5}', "--epochs: invalid int"),
+    ("train", '{"first_gap": "bogus"}', "--first-gap: invalid choice"),
+    ("prepare", '{"rate": 2}', "--rate: rate must lie in [0, 1]"),
+    ("prepare", '{"synthetic": "yes"}', "--synthetic"),
+    ("eval", '{"split": "nope"}', "--split: invalid choice"),
+], ids=["prepare-not-json", "train-not-json", "array", "int-type", "float-for-int",
+        "choices", "custom-type", "store-true", "eval-choices"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, command, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "cfg.json" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("meta", ["{bad", '{"rate": 0.5}', '{"n_variates": "four"}', "[4]"],
+                         ids=["not-json", "no-n-variates", "non-integer", "array"])
+def test_malformed_meta_json_exits_2(tmp_path, workdir, capsys, meta):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "test.csv").write_text(Path(workdir["data"], "test.csv").read_text())
+    (data / "meta.json").write_text(meta)
+    for argv in (["train", "--data", str(data)],
+                 ["eval", "--data", str(data), "--checkpoint", workdir["ckpt"]]):
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "meta.json" in err
+        assert "Traceback" not in err

@@ -42,6 +42,8 @@ def test_forward_shapes(rng):
     assert preds[0].data.shape == (2,)
     assert preds[1].data.shape == (1,)
     assert preds[2] is None
+    with pytest.raises(DataError):
+        model.forward([], [])  # an empty batch
 
 
 def test_summary_shape(rng):

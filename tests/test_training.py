@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_series
 from sedformer.data import WindowItem
@@ -189,6 +191,44 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     a = model.predict(item.series, item.query_times)
     b = again.predict(item.series, item.query_times)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.filterwarnings("ignore:.*no observed pooled step")
+@pytest.mark.parametrize("first_gap", ["zero", "median"])
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_property_checkpoint_roundtrip(tmp_path_factory, first_gap, data):
+    """Random small configs: names, state and predictions survive a save and
+    load, and a re-save writes the same bytes. One window is shorter than
+    the pooling stride."""
+    draw = data.draw
+    heads = draw(st.integers(1, 2))
+    cfg = ModelConfig(
+        n_variates=draw(st.integers(1, 3)), conv_channels=draw(st.integers(1, 3)),
+        kernel_size=draw(st.sampled_from([1, 3, 5])), dim=heads * draw(st.integers(2, 4)),
+        heads=heads, blocks=draw(st.integers(1, 2)), pool_stride=draw(st.integers(2, 5)),
+        tau_init=draw(st.floats(1.0, 4.0)), te_span=draw(st.floats(10.0, 200.0)),
+        first_gap=first_gap, seed=draw(st.integers(0, 2 ** 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    s = cfg.pool_stride
+    windows = [random_series(rng, n_events=k, n_variates=cfg.n_variates)
+               for k in (int(rng.integers(1, s)), int(rng.integers(s, 4 * s)))]
+    queries = [[np.sort(rng.uniform(90.0, 120.0, size=2)) for _ in range(cfg.n_variates)]
+               for _ in windows]
+    model = SedFormer(cfg)
+    model.calibrate(windows)
+    tmp = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(str(tmp / "a.json"), model)
+    again = load_checkpoint(str(tmp / "a.json"))
+    save_checkpoint(str(tmp / "b.json"), again)
+    assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
+    assert again.config == cfg
+    assert list(again.parameters()) == list(model.parameters())
+    assert list(again.buffers()) == list(model.buffers())
+    for w, q in zip(windows, queries):
+        for a, b in zip(model.predict(w, q), again.predict(w, q)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_checkpoint_with_retired_config_fields(tmp_path, rng):
