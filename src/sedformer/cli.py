@@ -39,6 +39,18 @@ def _rate(text: str) -> float:
     return v
 
 
+def _kernel(text: str) -> tuple[float, ...]:
+    """Comma-separated finite floats, e.g. ``0.25,0.5,0.25``."""
+    try:
+        weights = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    if not all(np.isfinite(weights)):
+        raise argparse.ArgumentTypeError(f"kernel weights must be finite, got {text!r}")
+    return weights
+
+
 def _out_dir(path: str) -> str:
     root = os.environ.get(OUT_ROOT_ENV, ".")
     full = path if os.path.isabs(path) else os.path.join(root, path)
@@ -256,7 +268,7 @@ def cmd_eval(args) -> int:
 
 VIZ_DEFAULTS = {
     "sparse": 12, "dense": 40, "noise_std": 0.02, "theta": 0.3,
-    "kernel": "0.25,0.5,0.25", "tau_c": 1.0, "grid": 100, "seed": 0,
+    "kernel": (0.25, 0.5, 0.25), "tau_c": 1.0, "grid": 100, "seed": 0,
     "tau": 2.0, "v_th": 0.5, "gamma": 1.0,
 }
 
@@ -264,11 +276,10 @@ VIZ_DEFAULTS = {
 def cmd_viz(args) -> int:
     r = _resolve(VIZ_DEFAULTS, args)
     out = _out_dir(args.out_dir)
-    kernel = tuple(float(x) for x in str(r["kernel"]).split(","))
     cfg = data_mod.VizConfig(
         n_sparse=int(r["sparse"]), n_dense=int(r["dense"]),
         noise_std=float(r["noise_std"]), delta_threshold=float(r["theta"]),
-        conv_kernel=kernel, conv_threshold=float(r["tau_c"]),
+        conv_kernel=tuple(r["kernel"]), conv_threshold=float(r["tau_c"]),
         grid_size=int(r["grid"]), seed=int(r["seed"]), tau=float(r["tau"]),
         v_th=float(r["v_th"]), gamma=float(r["gamma"]))
     series = data_mod.synth_viz_series(cfg)
@@ -374,7 +385,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     sp.add_argument("--dense", type=int, help="samples in the dense phase")
     sp.add_argument("--noise-std", type=float, dest="noise_std")
     sp.add_argument("--theta", type=float, help="change/current threshold")
-    sp.add_argument("--kernel", help="comma-separated smoothing kernel")
+    sp.add_argument("--kernel", type=_kernel, help="comma-separated smoothing kernel")
     sp.add_argument("--tau-c", type=float, dest="tau_c", help="z-score threshold")
     sp.add_argument("--grid", type=int, help="regular-grid size")
     sp.add_argument("--seed", type=int)

@@ -3,7 +3,8 @@
 Every differentiable operation used by the model either lives here or is
 composed from operations here. A Tensor wraps a float64 numpy array; ops
 record a backward closure so that ``backward()`` on a scalar loss fills
-``.grad`` on every reachable tensor created with ``requires_grad=True``.
+``.grad`` on every reachable leaf created with ``requires_grad=True`` (and
+frees the recorded graph as it goes).
 
 Only what the model needs is implemented: matmul (2-D or batched),
 elementwise arithmetic with numpy broadcasting, reductions, reshapes, axis
@@ -97,14 +98,27 @@ class Tensor:
     # -- autodiff -----------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar. Populates .grad on leaves."""
+        """Reverse-mode pass from a scalar. Populates .grad on leaves.
+
+        The tape is freed as the pass walks it: once a node's rule has run,
+        the node drops its gradient, its rule and its parents, so each
+        intermediate output and gradient dies as soon as the pass is past
+        it. Leaves keep their ``.grad``; the tensors themselves keep their
+        data. A released node cannot be differentiated again: a later
+        backward that reaches one raises instead of returning partial
+        gradients.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()  # consumers before parents
+            if node._backward is None:
+                continue  # a leaf
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _released, ()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -393,6 +407,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _released(_g=None):
+    """Backward rule left on a node whose backward already ran and freed it."""
+    raise RuntimeError("backward() reached a tape node that an earlier backward() "
+                       "freed; run the forward again")
+
+
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -404,6 +424,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in visited:
             continue
+        if node._backward is _released:
+            _released()
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoder import EventSeries
 from .errors import ConfigError, DataError, NumericsError
-from .model import ModelConfig, SedFormer, batch_ranges
+from .model import TRAIN_BATCH_ROWS, ModelConfig, SedFormer, batch_ranges
 from .tensor import Tensor, assert_finite, no_grad
 
 
@@ -149,6 +149,10 @@ class TrainConfig:
     grad_clip: float | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+
 
 def evaluate(model: SedFormer, items: list[WindowItem]) -> dict:
     """Pooled metrics in inference mode (hard spikes, no tape).
@@ -174,6 +178,12 @@ def train(model: SedFormer, train_items: list[WindowItem],
           log=None) -> dict:
     """Minibatch training with best-on-validation parameter selection.
 
+    A minibatch is split into consecutive runs of at most
+    ``TRAIN_BATCH_ROWS`` padded rows (``batch_ranges``). Each run is one
+    batched forward, one loss (the sum of per-window
+    ``variate_balanced_mse`` over ``len(minibatch)``) and one backward,
+    which frees that run's tape before the next run starts.
+
     Returns {"history": [...], "best_epoch": int, "best_val_mse": float};
     the model is left holding the best parameters.
     """
@@ -189,20 +199,25 @@ def train(model: SedFormer, train_items: list[WindowItem],
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(train_items))
         # pooled normalization stats, then gradient steps under those same
-        # frozen stats: forwards see one series, so per-forward batch stats
-        # would normalize away each window's level and break inference
+        # frozen stats: per-forward batch stats would tie each window's
+        # scaling to its batch-mates (or normalize away a lone window's
+        # level) and break inference
         model.calibrate(train_series)
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
             opt.zero_grad()
             batch_loss = 0.0
-            for item in batch:
-                # one window per forward: a batched forward would keep every
-                # window's tape alive until the backward (peak RSS 92 -> 162 MiB
-                # at 16 windows on the benchmark's suite workload)
-                preds = model.forward(item.series, item.query_times)
-                loss = variate_balanced_mse(preds, item.targets) * (1.0 / len(batch))
+            # the runs' gradients add up in .grad; only one run's tape is
+            # alive at a time, since each backward frees its own
+            for run in batch_ranges([item.series for item in batch],
+                                    [item.n_queries for item in batch], TRAIN_BATCH_ROWS):
+                windows = batch[run.start:run.stop]
+                preds = model.forward([item.series for item in windows],
+                                      [item.query_times for item in windows])
+                terms = [variate_balanced_mse(p, item.targets)
+                         for p, item in zip(preds, windows)]
+                loss = sum(terms[1:], terms[0]) * (1.0 / len(batch))
                 assert_finite(loss, "training loss")
                 loss.backward()
                 batch_loss += loss.item()

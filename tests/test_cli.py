@@ -218,3 +218,26 @@ def test_malformed_meta_json_exits_2(tmp_path, workdir, capsys, meta):
         err = capsys.readouterr().err
         assert "error:" in err and "meta.json" in err
         assert "Traceback" not in err
+
+
+def test_empty_batch_size_exits_2(tmp_path, workdir, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"batch_size": 0}))
+    for extra in (["--batch-size", "0"], ["--config", str(cfg_path)]):
+        assert main(["train", "--data", workdir["data"], *extra,
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "batch size must be >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kernel", ["abc", "", "nan", "0.25,,0.25"])
+def test_bad_viz_kernel_exits_2(tmp_path, capsys, kernel):
+    with pytest.raises(SystemExit) as exc:
+        main(["viz", "--kernel", kernel, "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--kernel" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kernel": kernel}))
+    assert main(["viz", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--kernel" in err and "Traceback" not in err

@@ -174,3 +174,28 @@ def test_backward_requires_scalar():
     x = parameter(np.ones(3))
     with pytest.raises(ValueError):
         (x * 2.0).backward()
+
+
+def test_backward_frees_the_tape():
+    """Interior nodes drop gradient, rule and parents; leaves keep .grad."""
+    x = parameter(np.array([1.0, 2.0]))
+    y = x * 3.0
+    z = (y * y).sum()
+    z.backward()
+    assert np.array_equal(x.grad, [18.0, 36.0])
+    for node in (y, z):
+        assert node.grad is None and node._parents == ()
+    assert np.array_equal(y.data, [3.0, 6.0])  # outputs keep their values
+
+
+@pytest.mark.parametrize("again", [lambda z, y: z, lambda z, y: (y * 2.0).sum()],
+                         ids=["same-root", "new-root-over-freed-node"])
+def test_backward_through_freed_node_raises(again):
+    x = parameter(np.array([1.0, 2.0]))
+    y = x * 3.0
+    z = (y * y).sum()
+    z.backward()
+    x.grad = None
+    with pytest.raises(RuntimeError, match="freed"):
+        again(z, y).backward()
+    assert x.grad is None  # nothing was accumulated before the raise

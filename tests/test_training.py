@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_series
+from sedformer import SuiteConfig, synth_suite
+from sedformer import training as training_mod
 from sedformer.data import WindowItem
 from sedformer.encoder import EventSeries
 from sedformer.errors import ConfigError
@@ -156,6 +159,71 @@ def test_best_validation_params_restored(rng):
     res = train(model, items[:4], items[4:], TrainConfig(epochs=4, seed=0))
     val = evaluate(model, items[4:])
     assert abs(val["mse"] - res["best_val_mse"]) < 1e-9
+
+
+def test_backward_frees_the_training_tape():
+    """A suite-sized window: the backward's peak stays near the forward's
+    tape (a kept tape would hold every interior gradient too, about 2.5x),
+    and after it only the parameter gradients remain."""
+    item = synth_suite(SuiteConfig(n_series=1, n_days=210, seed=0))["train"][0]
+    model = SedFormer(ModelConfig(n_variates=item.series.n_variates))
+    model.calibrate([item.series])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = variate_balanced_mse(model.forward(item.series, item.query_times),
+                                    item.targets)
+        tape = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        after, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.grad.nbytes for p in model.parameters().values())
+    assert tape > 1 << 20  # the window is big enough to measure
+    assert peak <= 1.2 * tape
+    assert after <= grads + 0.05 * tape
+
+
+def _one_window_step(model, items, lr):
+    """The reference minibatch step: one forward and backward per window."""
+    model.calibrate([item.series for item in items])
+    opt = Adam(model.parameters(), lr=lr)
+    opt.zero_grad()
+    for item in items:
+        loss = variate_balanced_mse(model.forward(item.series, item.query_times),
+                                    item.targets)
+        (loss * (1.0 / len(items))).backward()
+    opt.step()
+
+
+@pytest.mark.filterwarnings("ignore:.*no observed pooled step")
+@pytest.mark.filterwarnings("ignore:.*no queries")
+def test_batched_minibatch_step_matches_one_window_steps(monkeypatch):
+    """One training step over a minibatch that splits into several batched
+    runs gives the gradients and post-Adam parameters of one-window steps,
+    up to summation order. One window is shorter than the pooling stride,
+    one has a variate without queries."""
+    rng = np.random.default_rng(5)
+    items = [make_item(rng) for _ in range(5)]
+    q = [np.array([95.0, 99.0]), np.zeros(0), np.array([101.0])]
+    items.append(WindowItem(series=random_series(rng, n_events=3), query_times=q,
+                            targets=[rng.normal(size=t.size) for t in q]))
+    cfg = small_config(pool_stride=4)
+    batched, single = SedFormer(cfg), SedFormer(cfg)
+    runs = []
+    forward = batched.forward
+    monkeypatch.setattr(batched, "forward", lambda s, q: runs.append(len(s)) or forward(s, q))
+    monkeypatch.setattr(training_mod, "TRAIN_BATCH_ROWS", 150)
+    train(batched, items, [], TrainConfig(epochs=1, batch_size=len(items), lr=1e-2))
+    assert len(runs) >= 2 and max(runs) > 1
+    _one_window_step(single, items, lr=1e-2)
+    params = batched.parameters()
+    for k, p in single.parameters().items():
+        g = p.grad
+        assert np.max(np.abs(params[k].grad - g)) <= 1e-12 * np.max(np.abs(g)), k
+        scale = max(1.0, float(np.max(np.abs(p.data))))
+        assert np.max(np.abs(params[k].data - p.data)) <= 1e-12 * scale, k
 
 
 def test_persistence_and_mean_forecasts():
