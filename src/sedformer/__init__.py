@@ -11,8 +11,7 @@ from .energy import EnergyModel, count_ann_layer, count_snn_layer, energy_estima
 from .errors import (ConfigError, DataError, NumericsError, SedformerError,
                      ShapeError)
 from .model import ModelConfig, SedFormer
-from .neuron import (EaLifConfig, LifConfig, ealif_filter, ealif_spike_scan,
-                     ealif_step, lif_step, tau_from_eta)
+from .neuron import ealif_filter, ealif_spike_scan, tau_from_eta
 from .sweep import GRIDS, run_sweep
 from .tensor import BatchNorm, Tensor, mac_counter, no_grad
 from .training import (Adam, TrainConfig, evaluate, flat_metrics, load_checkpoint,
@@ -22,13 +21,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "BatchNorm", "Block", "CleanConfig", "ConfigError", "DataError",
-    "EaLifConfig", "EnergyModel", "EventSeries", "GRIDS", "LifConfig",
-    "ModelConfig", "NumericsError", "SedAttention", "SedFormer", "SedSeEncoder",
+    "EnergyModel", "EventSeries", "GRIDS", "ModelConfig", "NumericsError",
+    "SedAttention", "SedFormer", "SedSeEncoder",
     "SedformerError", "ShapeError", "Standardizer", "SuiteConfig", "Tensor",
     "TimeEmbedding", "TrainConfig", "VizConfig", "aggregate_observed",
     "align_events", "baseline_encoders", "count_ann_layer", "count_snn_layer", "ealif_filter",
-    "ealif_spike_scan", "ealif_step", "energy_estimate", "evaluate",
-    "event_gaps", "flat_metrics", "lif_step", "load_checkpoint", "mac_counter",
+    "ealif_spike_scan", "energy_estimate", "evaluate",
+    "event_gaps", "flat_metrics", "load_checkpoint", "mac_counter",
     "make_windows", "mcar_sparsify", "no_grad", "pool_events", "pool_max",
     "pool_times", "prepare_corpus", "read_dataset", "run_sweep",
     "save_checkpoint", "split_windows", "synth_suite", "synth_viz_series",

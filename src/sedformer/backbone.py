@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .neuron import ealif_filter, eta_for_tau_init
-from .tensor import BatchNorm, Module, Tensor, concat, parameter
+from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, concat, count_macs, linear,
+                     make_op, parameter)
 
 
 class TimeEmbedding(Module):
@@ -62,20 +63,89 @@ def embed_tokens(spikes: Tensor, times: np.ndarray, embed: Tensor,
     return tok + te(times).reshape(np.shape(times) + (1, te.dim))
 
 
+def linear_attention(phi_q: Tensor, phi_k: Tensor, vtil: Tensor, heads: int,
+                     real: np.ndarray | None = None, eps: float = 1e-6) -> Tensor:
+    """Non-causal linear attention over every token of a window, as one op.
+
+    phi_q, phi_k, vtil: [K', B, D, dim] filtered queries, keys and values
+    (a lone window [K', D, dim] is a batch of one); ``real`` [B, K'*D] is 1
+    for a window's real tokens and 0 for its pads, or None if none has a
+    pad. The channels split into ``heads`` heads of d_h; per window and head,
+    over its N = K'*D tokens u,
+        KV    = sum_u phi_k[u]^T vtil[u]          [d_h, d_h]
+        k_sum = sum_u phi_k[u]                    [d_h]
+        y[u]  = (phi_q[u] KV) / (phi_q[u] k_sum + eps)
+    with pads left out of both sums. Output [K', B, D, dim].
+
+    Beyond its inputs the op keeps only KV, k_sum and the denominator; the
+    backward is the factored gradient of Katharopoulos et al. 2020
+    (arXiv:2006.16236, sec. 3.3), again linear in N.
+    """
+    shape = phi_q.shape
+    Kp, D, dim = shape[0], shape[-2], shape[-1]
+    B, dh = math.prod(shape[1:-2]), dim // heads
+    mask = None if real is None else real[:, None, :, None]
+
+    def split(a):  # [K', B, D, dim] -> [B, H, K'*D, d_h], each window's tokens contiguous
+        return a.reshape(Kp, B, D, heads, dh).transpose(1, 3, 0, 2, 4).reshape(B, heads, -1, dh)
+
+    def merge(a):  # the inverse of split
+        return a.reshape(B, heads, Kp, D, dh).transpose(2, 0, 3, 1, 4).reshape(shape)
+
+    def keys():
+        k = split(phi_k.data)
+        return k if mask is None else k * mask
+
+    q, k, v = split(phi_q.data), keys(), split(vtil.data)
+    kv = k.swapaxes(-1, -2) @ v                     # [B, H, d_h, d_h]
+    k_sum = k.sum(axis=-2)[..., None]               # [B, H, d_h, 1]
+    den = q @ k_sum + eps                           # [B, H, N, 1]
+    out = merge((q @ kv) / den)
+    count_macs(2 * q.size * dh + q.size + (k.size if mask is not None else 0))
+
+    def bwd(g):
+        q = split(phi_q.data)
+        g_num = split(g) / den                                          # [B, H, N, d_h]
+        g_den = -(g_num * split(out)).sum(axis=-1, keepdims=True)       # y = num / den
+        if phi_q.requires_grad:
+            accumulate_grad(phi_q, merge(g_num @ kv.swapaxes(-1, -2)
+                                         + g_den * k_sum.swapaxes(-1, -2)))
+        g_kv = q.swapaxes(-1, -2) @ g_num                               # [B, H, d_h, d_h]
+        if phi_k.requires_grad:
+            g_k_sum = (q * g_den).sum(axis=-2, keepdims=True)           # [B, H, 1, d_h]
+            g_k = split(vtil.data) @ g_kv.swapaxes(-1, -2) + g_k_sum
+            accumulate_grad(phi_k, merge(g_k if mask is None else g_k * mask))
+        if vtil.requires_grad:
+            accumulate_grad(vtil, merge(keys() @ g_kv))
+
+    return make_op(out, (phi_q, phi_k, vtil), bwd)
+
+
+def _fold_or_apply(norm: BatchNorm | None, x: Tensor, lengths):
+    """``(x, pre)`` for the linear map behind ``norm``: its frozen scale and
+    shift to fold in as ``pre``, or, while it accumulates moments (which
+    need its raw input), ``norm`` applied to x now and nothing to fold."""
+    if norm is None:
+        return x, None
+    if norm.accumulating:
+        return norm(x, lengths), None
+    return x, norm.scale_shift()
+
+
 class SedAttention(Module):
     """Multi-head spiking linear attention over the pooled event axis.
 
     Project to queries/keys/values, batch-normalize, run the event-driven
-    filter (softplus squash on q/k, none on v), split the channels into
-    heads, then per head (all heads in one batched product)
-        KV    = sum_w phi_k[w]^T vtil[w]          [d_h, d_h]
-        k_sum = sum_w sum_rows phi_k[w]           [d_h]
-        y[u]  = (phi_q[u] KV) / (phi_q[u] k_sum + eps)
-    Sums run over all pooled steps and variates (non-causal).
+    filter (softplus squash on q/k, none on v), then the linear-attention
+    core (``linear_attention``; all heads in one batched product) and the
+    output projection. Sums run over all pooled steps and variates
+    (non-causal).
 
     A time-major batch x [K', B, D, d] with gaps [K', B] and ``lengths``
     (pooled steps per window, see ``window_lengths``) keeps every window's
     sums to its own tokens; pads are masked out of ``KV`` and ``k_sum``.
+    ``norm`` is a normalizer in front of the block (``Block.bn1``); it and
+    bn_q/k/v fold into the projections (``tensor.linear``).
     """
 
     def __init__(self, dim: int, heads: int, tau_init: float = 2.0,
@@ -98,35 +168,36 @@ class SedAttention(Module):
         self.eta_v = parameter(eta_for_tau_init(tau_init))
         self.bn_q, self.bn_k, self.bn_v = BatchNorm(dim), BatchNorm(dim), BatchNorm(dim)
 
-    def __call__(self, x: Tensor, gaps: np.ndarray,
-                 lengths: np.ndarray | None = None) -> Tensor:
-        dim = x.shape[-1]
-        if dim != self.dim:
-            raise ShapeError(f"attention built for dim {self.dim}, got {dim}")
+    def __call__(self, x: Tensor, gaps: np.ndarray, lengths: np.ndarray | None = None,
+                 norm: BatchNorm | None = None) -> Tensor:
+        if x.shape[-1] != self.dim:
+            raise ShapeError(f"attention built for dim {self.dim}, got {x.shape[-1]}")
+        x, pre = _fold_or_apply(norm, x, lengths)
+
+        def project(w, bn, eta, squash):
+            if bn.accumulating:
+                z = bn(linear(x, w, pre=pre), lengths)
+            else:
+                z = linear(x, w, pre=pre, post=bn.scale_shift())
+            return ealif_filter(z, gaps, eta, squash=squash)
+
+        phi_q = project(self.w_q, self.bn_q, self.eta_q, "softplus")
+        phi_k = project(self.w_k, self.bn_k, self.eta_k, "softplus")
+        vtil = project(self.w_v, self.bn_v, self.eta_v, None)
         Kp, D = x.shape[0], x.shape[-2]
-        B = math.prod(x.shape[1:-2])  # a lone window [K', D, d] is a batch of one
-        H, dh = self.heads, self.d_head
-        x_flat = x.reshape(-1, dim)
-
-        def heads(w, bn, eta, squash):  # -> [B, H, K'*D, d_h], each window's tokens contiguous
-            f = ealif_filter(bn((x_flat @ w).reshape(x.shape), lengths), gaps, eta, squash=squash)
-            return f.reshape(Kp, B, D, H, dh).transpose(1, 3, 0, 2, 4).reshape(B, H, Kp * D, dh)
-
-        phi_q = heads(self.w_q, self.bn_q, self.eta_q, "softplus")
-        phi_k = heads(self.w_k, self.bn_k, self.eta_k, "softplus")
-        vtil = heads(self.w_v, self.bn_v, self.eta_v, None)
+        real = None
         if lengths is not None and np.any(lengths < Kp):  # keep pads out of KV and k_sum
-            real = np.repeat(np.arange(Kp) < lengths[:, None], D, axis=1)  # [B, K'*D]
-            phi_k = phi_k * Tensor(real[:, None, :, None])
-        kv = phi_k.transpose(0, 1, 3, 2) @ vtil                                # [B, H, d_h, d_h]
-        k_sum = phi_k.sum(axis=-2, keepdims=True).transpose(0, 1, 3, 2)        # [B, H, d_h, 1]
-        y = (phi_q @ kv) / (phi_q @ k_sum + self.eps)                          # [B, H, K'*D, d_h]
-        y = y.reshape(B, H, Kp, D, dh).transpose(2, 0, 3, 1, 4).reshape(-1, dim)
-        return (y @ self.w_o).reshape(x.shape)
+            real = np.repeat(np.arange(Kp) < lengths[:, None], D, axis=1).astype(np.float64)
+        y = linear_attention(phi_q, phi_k, vtil, self.heads, real, self.eps)
+        return linear(y, self.w_o)
 
 
 class FeedForward(Module):
-    """Continuous position-wise MLP: d -> 2d -> rectifier -> d."""
+    """Continuous position-wise MLP: d -> 2d -> rectifier -> d.
+
+    ``norm`` is a normalizer in front of it (``Block.bn2``), folded into
+    the first layer.
+    """
 
     def __init__(self, dim: int, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -136,9 +207,10 @@ class FeedForward(Module):
         self.w2 = parameter(rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, dim)))
         self.b2 = parameter(np.zeros(dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = (x.reshape(-1, x.shape[-1]) @ self.w1 + self.b1).relu()
-        return (h @ self.w2 + self.b2).reshape(x.shape)
+    def __call__(self, x: Tensor, lengths: np.ndarray | None = None,
+                 norm: BatchNorm | None = None) -> Tensor:
+        x, pre = _fold_or_apply(norm, x, lengths)
+        return linear(linear(x, self.w1, self.b1, pre=pre).relu(), self.w2, self.b2)
 
 
 class Block(Module):
@@ -152,8 +224,8 @@ class Block(Module):
 
     def __call__(self, x: Tensor, gaps: np.ndarray,
                  lengths: np.ndarray | None = None) -> Tensor:
-        x = x + self.attn(self.bn1(x, lengths), gaps, lengths)
-        return x + self.ffn(self.bn2(x, lengths))
+        x = x + self.attn(x, gaps, lengths, norm=self.bn1)
+        return x + self.ffn(x, lengths, norm=self.bn2)
 
 
 def aggregate_observed(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -526,8 +526,12 @@ def baseline_encoders(data: dict, cfg: VizConfig) -> dict:
     d_spk[1:] = (np.abs(np.diff(x_grid)) >= cfg.delta_threshold).astype(np.float64)
     # smoothing kernel + z-score threshold on the grid
     kern = np.asarray(cfg.conv_kernel, dtype=np.float64)
-    y = np.convolve(x_grid, kern, mode="same")
-    sd = y.std()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.convolve(x_grid, kern, mode="same")
+        sd = y.std()
+    if not (np.all(np.isfinite(y)) and np.isfinite(sd)):
+        raise ConfigError(f"smoothing kernel {tuple(kern.tolist())} overflows the "
+                          "z-score of the smoothed series; use smaller weights")
     if sd == 0.0:
         c_spk = np.zeros(t_grid.size)
     else:

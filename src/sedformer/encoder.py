@@ -219,9 +219,12 @@ class SedSeEncoder(Module):
         if series.n_variates != self.n_variates:
             raise DataError(
                 f"encoder built for {self.n_variates} variates, series has {series.n_variates}")
-        observed = np.where(series.mask == 1.0, series.values, 0.0)  # 0 where unobserved or pad
-        x_loc = self.bn(depthwise_conv1d(Tensor(observed), self.kernels),
-                        window_lengths(series.mask))
+        observed = Tensor(np.where(series.mask == 1.0, series.values, 0.0))  # 0 if unobserved/pad
+        if self.bn.accumulating:  # its moments need the raw convolution
+            x_loc = self.bn(depthwise_conv1d(observed, self.kernels), window_lengths(series.mask))
+        else:  # the frozen map folds into the kernels (scale per channel) plus a shift
+            scale, shift = self.bn.scale_shift()
+            x_loc = depthwise_conv1d(observed, self.kernels * scale.reshape(-1, 1)) + shift
         gaps = event_gaps(series.times, first_gap=self.first_gap)
         s = self.gate(gaps).reshape(gaps.shape + (1, 1))
         gamma = self.gamma_hat.softplus()

@@ -16,23 +16,16 @@ from .backbone import Block, TimeEmbedding, aggregate_observed, embed_tokens
 from .downsample import pool_events
 from .encoder import EventBatch, EventSeries, SedSeEncoder, event_gaps, window_lengths
 from .errors import ConfigError, DataError
-from .tensor import BatchNorm, Module, Tensor, assert_finite, concat, no_grad, parameter
+from .tensor import (BatchNorm, Module, Tensor, assert_finite, concat, linear, no_grad,
+                     parameter)
 
-# Rows of one padded no-grad batch: event x variate slots (K_max * B * D)
-# plus the decoder's query rows. Passes that record no tape (evaluate,
-# calibrate) group windows in order up to this size; a larger window runs
-# alone. Measured with the benchmark: 3072 rows evaluate `suite` only ~6 %
-# faster per window than 2048, but raise `sparse_short`'s peak RSS by ~3 %,
-# where the decoder rows of its query-heavy windows dominate a batch.
+# Rows of one padded batch: event x variate slots (K_max * B * D) plus the
+# decoder's query rows. Training runs, evaluate and calibrate group windows
+# in order up to this size; a larger window runs alone. Measured with the
+# benchmark: 3072 rows evaluate `suite` only ~6 % faster per window than
+# 2048, but raise `sparse_short`'s peak RSS by ~3 %, where the decoder rows
+# of its query-heavy windows dominate a batch.
 BATCH_ROWS = 2048
-
-# The same count for a training forward, whose tape lives until its
-# backward. Measured with the benchmark (seed 1, 30 s) against one window
-# per forward: 1200 rows train `sparse_short` 2.0x and `suite` 1.35x faster
-# per window, at +2.7 % and -4 % peak RSS. 1536 rows add 9 % speed on
-# `suite` but put `sparse_short` at +4.6 % RSS, and BATCH_ROWS at +8.5 %,
-# for no more speed on `sparse_short`.
-TRAIN_BATCH_ROWS = 1200
 
 
 def batch_ranges(series: list[EventSeries], n_queries: list[int] | None = None,
@@ -114,9 +107,9 @@ class Decoder(Module):
         self.w3, self.b3 = mat(w, 1), parameter(np.zeros(1))
 
     def __call__(self, z_and_te: Tensor) -> Tensor:
-        h = (z_and_te @ self.w1 + self.b1).relu()
-        h = (h @ self.w2 + self.b2).relu()
-        return h @ self.w3 + self.b3
+        h = linear(z_and_te, self.w1, self.b1).relu()
+        h = linear(h, self.w2, self.b2).relu()
+        return linear(h, self.w3, self.b3)
 
 
 class SedFormer(Module):

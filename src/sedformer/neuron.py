@@ -1,10 +1,10 @@
-"""Spiking neuron dynamics: discrete-step LIF and event-driven EA-LIF.
+"""Spiking neuron dynamics: the event-driven EA-LIF scans.
 
 Two recurrence kernels carry hand-derived backward rules (``ealif_filter``
-and ``ealif_spike_scan``); everything else composes tape primitives. The
-hand-derived scans keep memory per step O(state) instead of materializing
-one tape node per event per channel, and the per-step functions double as
-an independent reference implementation for testing the scans.
+and ``ealif_spike_scan``). They keep memory per step O(state) instead of
+materializing one tape node per event per channel. Per-step LIF and EA-LIF
+updates composed from tape primitives live with the tests
+(``tests/oracles.py``) as an independent reference for the scans.
 
 Spike nonlinearity: the forward pass is a hard threshold H(u) = 1{u >= 0}
 (u == 0 fires). The backward pass always uses the scaled sigmoid surrogate
@@ -15,13 +15,10 @@ exact; hard mode is what training and inference use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .tensor import (Tensor, accumulate_grad, is_recording, make_op, parameter, sigmoid,
-                     softplus)
+from .tensor import Tensor, accumulate_grad, is_recording, make_op, sigmoid, softplus
 
 
 def heaviside(u: np.ndarray) -> np.ndarray:
@@ -33,72 +30,6 @@ def surrogate_grad(u: np.ndarray, alpha: float) -> np.ndarray:
     """d/du of the surrogate: a*s(a*u)*(1-s(a*u))."""
     s = sigmoid(alpha * np.asarray(u, dtype=np.float64))
     return alpha * s * (1.0 - s)
-
-
-def spike(u: Tensor, alpha: float = 4.0, smooth: bool = False) -> Tensor:
-    """Threshold with a straight-through surrogate gradient.
-
-    Forward: H(u) (hard) or s(alpha*u) (smooth). Backward: surrogate in
-    both modes, so gradients are identical across modes.
-    """
-    if alpha <= 0:
-        raise ConfigError(f"surrogate sharpness must be positive, got {alpha}")
-    u_data = u.data
-    out = sigmoid(alpha * u_data) if smooth else heaviside(u_data)
-    psi = surrogate_grad(u_data, alpha)
-
-    def bwd(g):
-        accumulate_grad(u, g * psi)
-
-    return make_op(out, (u,), bwd)
-
-
-@dataclass
-class LifConfig:
-    """Discrete-step LIF: fixed leak alpha in [0, 1)."""
-
-    alpha: float = 0.5
-    v_th: float = 1.0
-    alpha_ste: float = 4.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha < 1.0):
-            raise ConfigError(f"leak alpha must lie in [0, 1), got {self.alpha}")
-        if self.v_th <= 0:
-            raise ConfigError(f"threshold must be positive, got {self.v_th}")
-        if self.alpha_ste <= 0:
-            raise ConfigError(f"surrogate sharpness must be positive, got {self.alpha_ste}")
-
-
-@dataclass
-class EaLifConfig:
-    """Event-driven LIF: learnable eta with tau = softplus(eta) + 1 > 1."""
-
-    eta: Tensor = field(default_factory=lambda: parameter(eta_for_tau(2.0)))
-    v_th: float = 1.0
-    alpha_ste: float = 4.0
-
-    def __post_init__(self):
-        if not isinstance(self.eta, Tensor):
-            self.eta = parameter(float(self.eta))
-        if self.v_th <= 0:
-            raise ConfigError(f"threshold must be positive, got {self.v_th}")
-        if self.alpha_ste <= 0:
-            raise ConfigError(f"surrogate sharpness must be positive, got {self.alpha_ste}")
-
-
-def lif_step(v_prev: Tensor, x: Tensor, cfg: LifConfig,
-             smooth: bool = False) -> tuple[Tensor, Tensor, Tensor]:
-    """One discrete leaky integrate-and-fire step.
-
-    m = alpha * v_prev + (1 - alpha) * x; spike at m >= v_th; soft reset
-    subtracts v_th on firing. Returns (m, s, v). alpha=0 keeps no membrane
-    memory across steps (the non-leaky reduction).
-    """
-    m = v_prev * cfg.alpha + x * (1.0 - cfg.alpha)
-    s = spike(m - cfg.v_th, alpha=cfg.alpha_ste, smooth=smooth)
-    v = m - s * cfg.v_th
-    return m, s, v
 
 
 def tau_from_eta(eta: Tensor) -> Tensor:
@@ -120,33 +51,6 @@ def eta_for_tau_init(tau: float) -> float:
     requested 1.0 maps to the closest representable setting (1 + 1e-9).
     """
     return eta_for_tau(max(float(tau), 1.0 + 1e-9))
-
-
-def ealif_leak(dt, eta: Tensor) -> Tensor:
-    """Gap-dependent decay beta = exp(-dt / tau), differentiable in eta.
-
-    dt: scalar or [K] nonnegative gaps; beta = 1 at dt = 0.
-    """
-    dt = np.asarray(dt, dtype=np.float64)
-    if np.any(dt < 0):
-        raise DataError("event gaps must be nonnegative")
-    tau = tau_from_eta(eta)
-    return (Tensor(-dt) / tau).exp()
-
-
-def ealif_step(v_prev: Tensor, current: Tensor, dt: float, cfg: EaLifConfig,
-               smooth: bool = False) -> tuple[Tensor, Tensor, Tensor]:
-    """One event-driven LIF update; the leak depends on the elapsed gap.
-
-    m = beta(dt) * v_prev + (1 - beta(dt)) * I; threshold and soft reset as
-    in lif_step. Returns (m, s, v). Composed from tape primitives; the
-    batched scan below is the production path.
-    """
-    beta = ealif_leak(float(dt), cfg.eta)
-    m = v_prev * beta + current * (1.0 - beta)
-    s = spike(m - cfg.v_th, alpha=cfg.alpha_ste, smooth=smooth)
-    v = m - s * cfg.v_th
-    return m, s, v
 
 
 def _beta_and_chain(dt: np.ndarray, eta_data: float,

@@ -8,8 +8,9 @@ frees the recorded graph as it goes).
 
 Only what the model needs is implemented: matmul (2-D or batched),
 elementwise arithmetic with numpy broadcasting, reductions, reshapes, axis
-permutation, basic slicing, the activation zoo, depthwise 1-D convolution,
-and batch normalization. ``Module`` derives a model part's named state from
+permutation, slicing, the activation zoo, depthwise 1-D convolution, a
+linear map with per-channel affine maps folded in, and batch
+normalization. ``Module`` derives a model part's named state from
 its attributes.
 """
 
@@ -54,7 +55,8 @@ class mac_counter:
         return False
 
 
-def _count_macs(n: int) -> None:
+def count_macs(n: int) -> None:
+    """Bill ``n`` multiply-accumulates to every open ``mac_counter``."""
     if _MAC_COUNTERS:
         for c in _MAC_COUNTERS:
             c.total += int(n)
@@ -140,7 +142,8 @@ class Tensor:
 
         def bwd(g):
             _accum(a, g)
-            _accum(b, -g)
+            if b.requires_grad:
+                _accum(b, -g)
 
         return _op(out_data, (a, b), bwd)
 
@@ -158,11 +161,13 @@ class Tensor:
     def __mul__(self, other):
         a, b = self, _coerce(other)
         out_data = a.data * b.data
-        _count_macs(out_data.size)
+        count_macs(out_data.size)
 
         def bwd(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+            if a.requires_grad:
+                _accum(a, g * b.data)
+            if b.requires_grad:
+                _accum(b, g * a.data)
 
         return _op(out_data, (a, b), bwd)
 
@@ -173,8 +178,10 @@ class Tensor:
         out_data = a.data / b.data
 
         def bwd(g):
-            _accum(a, g / b.data)
-            _accum(b, -g * a.data / (b.data * b.data))
+            if a.requires_grad:
+                _accum(a, g / b.data)
+            if b.requires_grad:
+                _accum(b, -g * a.data / (b.data * b.data))
 
         return _op(out_data, (a, b), bwd)
 
@@ -201,11 +208,13 @@ class Tensor:
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
         out_data = a.data @ b.data
-        _count_macs(out_data.size * a.shape[-1])
+        count_macs(out_data.size * a.shape[-1])
 
         def bwd(g):
-            _accum(a, g @ b.data.swapaxes(-1, -2))
-            _accum(b, a.data.swapaxes(-1, -2) @ g)
+            if a.requires_grad:
+                _accum(a, g @ b.data.swapaxes(-1, -2))
+            if b.requires_grad:
+                _accum(b, a.data.swapaxes(-1, -2) @ g)
 
         return _op(out_data, (a, b), bwd)
 
@@ -265,11 +274,20 @@ class Tensor:
     def __getitem__(self, idx):
         a = self
         out_data = a.data[idx]
+        basic = all(isinstance(i, (int, slice)) or i is None or i is Ellipsis
+                    for i in (idx if isinstance(idx, tuple) else (idx,)))
 
         def bwd(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            _accum(a, full)
+            if not a.requires_grad:
+                return
+            if basic:  # a view of a: no entry repeats, so add in place
+                if a.grad is None:
+                    a.grad = np.zeros_like(a.data)
+                a.grad[idx] += g
+            else:
+                full = np.zeros_like(a.data)
+                np.add.at(full, idx, g)
+                _accum(a, full)
 
         return _op(out_data, (a,), bwd)
 
@@ -440,12 +458,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic sigmoid on a raw array."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))  # e^-|x| never overflows; a NaN keeps its sign
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -494,19 +508,82 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     out = np.zeros(x.shape + (C,))
     for j in range(k):
         out += kernels.data[:, :, j] * x_pad[j:j + K, ..., None]
-    _count_macs(out.size * k)
+    count_macs(out.size * k)
     lead = tuple(range(x.ndim - 1))  # every axis but the variate axis
 
     def bwd(g):
-        gx_pad = np.zeros_like(x_pad)
-        gk = np.zeros_like(kernels.data)
-        for j in range(k):
-            gx_pad[j:j + K] += (g * kernels.data[:, :, j]).sum(axis=-1)
-            gk[:, :, j] = (g * x_pad[j:j + K, ..., None]).sum(axis=lead)
-        _accum(x, gx_pad[r:r + K])
-        _accum(kernels, gk)
+        if x.requires_grad:
+            gx_pad = np.zeros_like(x_pad)
+            for j in range(k):
+                gx_pad[j:j + K] += (g * kernels.data[:, :, j]).sum(axis=-1)
+            _accum(x, gx_pad[r:r + K])
+        if kernels.requires_grad:
+            gk = np.empty_like(kernels.data)
+            for j in range(k):
+                gk[:, :, j] = (g * x_pad[j:j + K, ..., None]).sum(axis=lead)
+            _accum(kernels, gk)
 
     return _op(out, (x, kernels), bwd)
+
+
+def linear(x: Tensor, w: Tensor, bias: Tensor | None = None,
+           pre: tuple[Tensor, Tensor] | None = None,
+           post: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """``((x * a + c) @ w + bias) * p + r`` over the last axis, as one op.
+
+    x: [..., n]; w: [n, m]. ``pre = (a, c)`` ([n] each) and ``post =
+    (p, r)`` ([m] each) are per-channel scales and shifts, such as a frozen
+    ``BatchNorm.scale_shift``; they and ``bias`` [m] are optional. They
+    fold into one weight and one shift,
+        w' = diag(a) w diag(p),    b' = (c @ w + bias) * p + r,
+    so the op does one matmul and the tape holds only its output. The
+    backward gets every parameter gradient from the one product x^T g.
+    """
+    x, w = _coerce(x), _coerce(w)
+    n, m = w.shape
+    if x.shape[-1] != n:
+        raise ShapeError(f"linear map takes {n} inputs, got {x.shape}")
+    wd = w.data
+    a, c = (t.data for t in pre) if pre else (None, None)
+    p, r = (t.data for t in post) if post else (None, None)
+    w_fold, cb = wd, None if bias is None else bias.data  # cb: the shift before p
+    if pre:
+        w_fold = a[:, None] * wd
+        cb = c @ wd if cb is None else c @ wd + cb
+    shift = cb
+    if post:
+        w_fold = w_fold * p
+        shift = r if cb is None else cb * p + r
+    out = x.data.reshape(-1, n) @ w_fold
+    if shift is not None:
+        out += shift
+    count_macs(out.size * n)
+    parents = (x, w) + ((bias,) if bias is not None else ()) + (pre or ()) + (post or ())
+
+    def bwd(g):
+        g2 = g.reshape(-1, m)
+        if x.requires_grad:
+            _accum(x, (g2 @ w_fold.T).reshape(x.shape))
+        if not any(t.requires_grad for t in parents[1:]):
+            return
+        gs = g2.sum(axis=0)
+        gp = gs if p is None else gs * p  # gradient of cb
+        g_fold = x.data.reshape(-1, n).T @ g2  # gradient of w'
+        if w.requires_grad:
+            gw = g_fold if p is None else g_fold * p
+            _accum(w, gw if a is None else gw * a[:, None] + np.outer(c, gp))
+        if bias is not None:
+            _accum(bias, gp)
+        if pre:
+            gwa = g_fold * wd if p is None else (g_fold * wd) * p
+            _accum(pre[0], gwa.sum(axis=1))
+            _accum(pre[1], wd @ gp)
+        if post:
+            gwp = g_fold * wd if a is None else (g_fold * wd) * a[:, None]
+            _accum(post[0], gwp.sum(axis=0) if cb is None else gwp.sum(axis=0) + gs * cb)
+            _accum(post[1], gs)
+
+    return _op(out.reshape(x.shape[:-1] + (m,)), parents, bwd)
 
 
 class Module:
@@ -575,6 +652,11 @@ class BatchNorm(Module):
         """Begin recording exact pooled input moments across forwards."""
         self._acc = [0, np.zeros(self.channels), np.zeros(self.channels)]
 
+    @property
+    def accumulating(self) -> bool:
+        """Whether forwards are being recorded into new statistics."""
+        return self._acc is not None
+
     def stop_accumulation(self) -> None:
         """Commit accumulated moments as the new running statistics."""
         acc, self._acc = self._acc, None
@@ -586,12 +668,15 @@ class BatchNorm(Module):
         self.running_var[...] = np.maximum(sq / n - mean * mean, 0.0)
 
     def __call__(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
-        """Normalize ``x`` [..., C] with the stored statistics.
+        """Normalize ``x`` [..., C] with the stored statistics, op by op.
 
-        With ``lengths``, x is a time-major batch [K, B, ..., C] whose window
-        b holds real rows only before ``lengths[b]``; the pads after them
-        stay out of the accumulated moments, which take each window in turn
-        exactly as one call per window would.
+        The model runs this composition only while accumulating, because
+        the moments need the raw input; otherwise it folds ``scale_shift``
+        into a neighbouring linear map. With ``lengths``, x is a
+        time-major batch [K, B, ..., C] whose window b holds real rows only
+        before ``lengths[b]``; the pads after them stay out of the
+        accumulated moments, which take each window in turn exactly as one
+        call per window would.
         """
         if x.shape[-1] != self.channels:
             raise ShapeError(f"expected trailing dim {self.channels}, got {x.shape}")
@@ -607,6 +692,19 @@ class BatchNorm(Module):
         xhat = (flat - self.running_mean) * ((self.running_var + self.eps) ** -0.5)
         out = xhat * self.gamma + self.beta
         return out.reshape(orig_shape)
+
+    def scale_shift(self) -> tuple[Tensor, Tensor]:
+        """The frozen map as ``x * s + t``: s = gamma / sqrt(var + eps) and
+        t = beta - mean * s, as tape ops on gamma and beta."""
+        gamma, beta, mean = self.gamma, self.beta, self.running_mean
+        inv = (self.running_var + self.eps) ** -0.5
+        s = _op(gamma.data * inv, (gamma,), lambda g: _accum(gamma, g * inv))
+
+        def shift_bwd(g):
+            _accum(gamma, -g * mean * inv)
+            _accum(beta, g)
+
+        return s, _op(beta.data - s.data * mean, (gamma, beta), shift_bwd)
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {"running_mean": self.running_mean, "running_var": self.running_var}

@@ -16,8 +16,8 @@ import numpy as np
 
 from .encoder import EventSeries
 from .errors import ConfigError, DataError, NumericsError
-from .model import TRAIN_BATCH_ROWS, ModelConfig, SedFormer, batch_ranges
-from .tensor import Tensor, assert_finite, no_grad
+from .model import BATCH_ROWS, ModelConfig, SedFormer, batch_ranges
+from .tensor import Tensor, accumulate_grad, assert_finite, make_op, no_grad
 
 
 @dataclass
@@ -42,28 +42,46 @@ class WindowItem:
         return int(sum(np.asarray(q).size for q in self.query_times))
 
 
-def variate_balanced_mse(preds: list[Tensor | None],
-                         targets: list[np.ndarray]) -> Tensor:
+def variate_balanced_mse(preds: list, targets: list) -> Tensor:
     """Mean over queried variates of the per-variate mean squared error.
 
-    Variates without queries are excluded from the outer mean (with a
-    warning), so every queried variate weighs equally no matter how many
-    queries it carries.
+    ``preds`` holds one [Q_d] tensor per variate (None where Q_d = 0) and
+    ``targets`` the matching arrays. Variates without queries are excluded
+    from the outer mean (with a warning), so every queried variate weighs
+    equally no matter how many queries it carries.
+
+    A run of windows (lists of such lists, as a list ``forward`` returns)
+    gives the sum of the windows' losses. Either way the loss is one op,
+        sum_{b,d,i} (p_{b,d,i} - y_{b,d,i})^2 / (n_{b,d} V_b),
+    with n_{b,d} the queries of variate d in window b and V_b the queried
+    variates of window b.
     """
-    terms = []
-    for d, (p, y) in enumerate(zip(preds, targets)):
-        y = np.asarray(y, dtype=np.float64)
-        if p is None or y.size == 0:
-            warnings.warn(f"variate {d} has no queries; excluded from the loss")
-            continue
-        err = p - Tensor(y)
-        terms.append((err * err).mean())
-    if not terms:
-        raise ConfigError("loss needs at least one query")
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
+    if not (preds and isinstance(preds[0], list)):  # one window
+        preds, targets = [preds], [targets]
+    parents, errs, weights = [], [], []
+    for window_preds, window_targets in zip(preds, targets):
+        queried = []
+        for d, (p, y) in enumerate(zip(window_preds, window_targets)):
+            y = np.asarray(y, dtype=np.float64)
+            if p is None or y.size == 0:
+                warnings.warn(f"variate {d} has no queries; excluded from the loss")
+                continue
+            queried.append((p, p.data - y))
+        if not queried:
+            raise ConfigError("loss needs at least one query")
+        for p, e in queried:
+            parents.append(p)
+            errs.append(e)
+            weights.append(np.full(e.size, 1.0 / (e.size * len(queried))))
+    err, w = np.concatenate([e.reshape(-1) for e in errs]), np.concatenate(weights)
+    ends = np.cumsum([e.size for e in errs])
+
+    def bwd(g):
+        grad = (2.0 * g) * w * err
+        for p, e, end in zip(parents, errs, ends):
+            accumulate_grad(p, grad[end - e.size:end].reshape(e.shape))
+
+    return make_op(np.dot(w, err * err), parents, bwd)
 
 
 def flat_errors(preds: list, targets: list[np.ndarray]) -> np.ndarray:
@@ -178,11 +196,10 @@ def train(model: SedFormer, train_items: list[WindowItem],
           log=None) -> dict:
     """Minibatch training with best-on-validation parameter selection.
 
-    A minibatch is split into consecutive runs of at most
-    ``TRAIN_BATCH_ROWS`` padded rows (``batch_ranges``). Each run is one
-    batched forward, one loss (the sum of per-window
-    ``variate_balanced_mse`` over ``len(minibatch)``) and one backward,
-    which frees that run's tape before the next run starts.
+    A minibatch is split into consecutive runs of at most ``BATCH_ROWS``
+    padded rows (``batch_ranges``). Each run is one batched forward, one
+    loss (the run's ``variate_balanced_mse`` over ``len(minibatch)``) and
+    one backward, which frees that run's tape before the next run starts.
 
     Returns {"history": [...], "best_epoch": int, "best_val_mse": float};
     the model is left holding the best parameters.
@@ -211,13 +228,12 @@ def train(model: SedFormer, train_items: list[WindowItem],
             # the runs' gradients add up in .grad; only one run's tape is
             # alive at a time, since each backward frees its own
             for run in batch_ranges([item.series for item in batch],
-                                    [item.n_queries for item in batch], TRAIN_BATCH_ROWS):
+                                    [item.n_queries for item in batch], BATCH_ROWS):
                 windows = batch[run.start:run.stop]
                 preds = model.forward([item.series for item in windows],
                                       [item.query_times for item in windows])
-                terms = [variate_balanced_mse(p, item.targets)
-                         for p, item in zip(preds, windows)]
-                loss = sum(terms[1:], terms[0]) * (1.0 / len(batch))
+                loss = variate_balanced_mse(preds, [item.targets for item in windows])
+                loss = loss * (1.0 / len(batch))
                 assert_finite(loss, "training loss")
                 loss.backward()
                 batch_loss += loss.item()

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import gradcheck, random_series
+from oracles import EaLifConfig, LifConfig, ealif_step, lif_step
 from test_backbone import calibrate_attention, quadratic_attention
 from test_downsample import brute_force_pool
 
 from sedformer import (
-    EaLifConfig,
     EnergyModel,
     EventSeries,
-    LifConfig,
     ModelConfig,
     SedFormer,
     SedSeEncoder,
@@ -30,8 +29,6 @@ from sedformer import (
     VizConfig,
     baseline_encoders,
     ealif_spike_scan,
-    ealif_step,
-    lif_step,
     make_windows,
     mcar_sparsify,
     pool_max,

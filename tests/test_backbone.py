@@ -3,10 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import gradcheck
+from oracles import composed_attention
 from sedformer.backbone import (Block, SedAttention, TimeEmbedding,
-                                aggregate_observed, embed_tokens)
+                                aggregate_observed, embed_tokens, linear_attention)
 from sedformer.errors import ConfigError, ShapeError
-from sedformer.tensor import Tensor, mac_counter, no_grad
+from sedformer.tensor import BatchNorm, Tensor, mac_counter, no_grad, parameter
 
 
 def quadratic_attention(attn: SedAttention, x: np.ndarray,
@@ -79,6 +81,76 @@ def test_attention_matches_quadratic_oracle():
         got = attn(Tensor(x), gaps).data
         want = quadratic_attention(attn, x, gaps)
         assert np.max(np.abs(got - want)) < 1e-10
+
+
+def _padded_batch(rng, Kp, B, D, dim):
+    """x [K', B, D, dim] and gaps [K', B] of B windows; window 0 is full,
+    the others end early and repeat their last stamp (gap 0) over pads."""
+    lengths = np.concatenate([[Kp], rng.integers(1, Kp + 1, size=B - 1)])
+    gaps = rng.uniform(0.1, 3.0, size=(Kp, B))
+    gaps[0] = 0.0
+    gaps[np.arange(Kp)[:, None] >= lengths] = 0.0
+    x = rng.normal(0.5, 2.0, size=(Kp, B, D, dim))
+    x[np.arange(Kp)[:, None] >= lengths] = 0.0
+    return x, gaps, lengths
+
+
+def test_fused_attention_matches_composed_oracle_on_padded_batches():
+    """The folded normalizers and the one-op core against the composition,
+    outputs and the gradients of every input and parameter to 1e-12."""
+    rng = np.random.default_rng(12)
+    for trial in range(6):
+        heads, d_head = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        dim = heads * d_head
+        Kp, B, D = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        attn, norm = SedAttention(dim, heads, seed=trial), BatchNorm(dim)
+        x, gaps, lengths = _padded_batch(rng, Kp, B, D, dim)
+        norms = (norm, attn.bn_q, attn.bn_k, attn.bn_v)
+        for bn in norms:  # non-identity statistics, then non-identity scales
+            bn.start_accumulation()
+        with no_grad():
+            attn(Tensor(x), gaps, lengths, norm=norm)
+        for bn in norms:
+            bn.stop_accumulation()
+            bn.gamma.data = rng.normal(1.0, 0.3, size=dim)
+            bn.beta.data = rng.normal(0.0, 0.3, size=dim)
+        xt = parameter(x)
+        g = rng.normal(size=x.shape)
+        leaves = [xt, *attn.parameters().values(), norm.gamma, norm.beta]
+
+        def run(fn):
+            for t in leaves:
+                t.grad = None
+            y = fn(attn, xt, gaps, lengths, norm=norm)
+            (y * Tensor(g)).sum().backward()
+            return y.data, [t.grad.copy() for t in leaves]
+
+        (y_f, g_f) = run(SedAttention.__call__)
+        (y_c, g_c) = run(composed_attention)
+        assert np.max(np.abs(y_f - y_c)) <= 1e-12 * np.max(np.abs(y_c))
+        # relative to the whole gradient: a leaf whose gradient cancels to
+        # ~1e-5 of the rest keeps an absolute rounding error of the rest's size
+        scale = max(np.max(np.abs(e)) for e in g_c)
+        for a, e in zip(g_f, g_c):
+            assert np.max(np.abs(a - e)) <= 1e-12 * scale
+
+
+def test_linear_attention_gradcheck_with_pads():
+    rng = np.random.default_rng(4)
+    Kp, B, D, heads, dh = 3, 2, 2, 2, 2
+    real = np.repeat(np.arange(Kp) < np.array([3, 2])[:, None], D, axis=1).astype(float)
+    phi_q, phi_k = (parameter(rng.uniform(0.1, 2.0, size=(Kp, B, D, heads * dh)))
+                    for _ in range(2))
+    vtil = parameter(rng.normal(size=(Kp, B, D, heads * dh)))
+    w = rng.normal(size=(Kp, B, D, heads * dh))
+    gradcheck(lambda: (linear_attention(phi_q, phi_k, vtil, heads, real) * Tensor(w)).sum(),
+              [phi_q, phi_k, vtil])
+    # a lone window [K', D, dim] is a batch of one
+    q1, k1, v1 = (Tensor(t.data[:, 0]) for t in (phi_q, phi_k, vtil))
+    lone = linear_attention(q1, k1, v1, heads).data
+    batched = linear_attention(phi_q, phi_k, vtil, heads, real).data[:, 0]
+    assert lone.shape == (Kp, D, heads * dh)
+    assert np.array_equal(lone, batched)
 
 
 def test_attention_mac_count_linear_in_length():

@@ -241,3 +241,12 @@ def test_bad_viz_kernel_exits_2(tmp_path, capsys, kernel):
     assert main(["viz", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "--kernel" in err and "Traceback" not in err
+
+
+def test_overflowing_viz_kernel_exits_2(tmp_path, capsys):
+    """Finite weights whose smoothed series overflows the z-score."""
+    for kernel in ("1e308,1e308,1e308", "1e200,1e200,1e200"):
+        rc = main(["viz", "--kernel", kernel, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err and "kernel" in err and "Traceback" not in err

@@ -6,8 +6,8 @@ from sedformer.encoder import EventSeries
 from sedformer.energy import model_energy_report
 from sedformer.errors import ConfigError, DataError
 from sedformer.model import ModelConfig, SedFormer
-from sedformer.tensor import Tensor, concat
-from sedformer.training import WindowItem
+from sedformer.tensor import BatchNorm, Tensor, concat
+from sedformer.training import WindowItem, variate_balanced_mse
 
 
 def small_config(**kw):
@@ -216,3 +216,38 @@ def test_calibrate_restores_mode(rng):
     assert all(bn._acc is None for bn in model.batch_norms())  # accumulation closed
     stats = model.buffers()["encoder.bn.running_mean"]
     assert not np.allclose(stats, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:.*no observed pooled step")
+def test_folded_normalizers_match_unfolded_forward(rng, monkeypatch):
+    """Outside calibration every normalizer folds into its neighbouring map;
+    forcing the unfolded composition (as while accumulating, minus the
+    accumulation) gives the same predictions and gradients to 1e-12, on a
+    padded batch under non-identity statistics."""
+    model = SedFormer(small_config(blocks=2, pool_stride=4))
+    windows = [random_series(rng, n_events=k) for k in (14, 3, 22)]
+    queries = [[np.sort(rng.uniform(91.0, 120.0, size=2)) for _ in range(3)] for _ in windows]
+    targets = [[rng.normal(size=2) for _ in range(3)] for _ in windows]
+    model.calibrate(windows)
+    for bn in model.batch_norms():
+        bn.gamma.data = rng.normal(1.0, 0.3, size=bn.channels)
+        bn.beta.data = rng.normal(0.0, 0.3, size=bn.channels)
+    params = model.parameters()
+
+    def run():
+        for p in params.values():
+            p.grad = None
+        preds = model.forward(windows, queries)
+        variate_balanced_mse(preds, targets).backward()
+        return ([p.data for row in preds for p in row],
+                {k: p.grad.copy() for k, p in params.items() if p.grad is not None})
+
+    folded, folded_grads = run()
+    monkeypatch.setattr(BatchNorm, "accumulating", property(lambda self: True))
+    unfolded, unfolded_grads = run()
+    for a, b in zip(folded, unfolded):
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+    assert folded_grads.keys() == unfolded_grads.keys()
+    scale = max(np.max(np.abs(g)) for g in unfolded_grads.values())
+    for k, g in unfolded_grads.items():
+        assert np.max(np.abs(folded_grads[k] - g)) <= 1e-12 * scale, k

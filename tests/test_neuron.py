@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import gradcheck
+from oracles import EaLifConfig, LifConfig, ealif_leak, ealif_step, lif_step
 from sedformer.errors import ConfigError, DataError
-from sedformer.neuron import (EaLifConfig, LifConfig, ealif_filter, ealif_leak,
-                              ealif_spike_scan, ealif_step, eta_for_tau,
-                              heaviside, lif_step, surrogate_grad, tau_from_eta)
+from sedformer.neuron import (ealif_filter, ealif_spike_scan, eta_for_tau, heaviside,
+                              surrogate_grad, tau_from_eta)
 from sedformer.tensor import Tensor, parameter
 
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import gradcheck
 from sedformer.errors import ConfigError, NumericsError, ShapeError
 from sedformer.tensor import (BatchNorm, Tensor, assert_finite, concat,
-                              depthwise_conv1d, mac_counter, no_grad, parameter,
+                              depthwise_conv1d, linear, mac_counter, no_grad, parameter,
                               sigmoid, softplus)
 
 
@@ -28,6 +28,28 @@ def test_softplus_values():
     assert abs(float(softplus(np.array(0.0))) - np.log(2.0)) < 1e-12
     assert abs(float(softplus(np.array(50.0))) - 50.0) < 1e-12
     assert float(sigmoid(np.array(0.0))) == 0.5
+
+
+def test_sigmoid_bitwise_equals_masked_formula():
+    """The branch-free sigmoid gives the bits of the two-branch formula
+    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) otherwise, also at the edges."""
+    def masked(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(13)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+                      746.0, -746.0, 709.0, -709.0, 5e-324, -5e-324])
+    for x in (rng.normal(scale=30.0, size=(80, 8, 32)), edges):
+        with np.errstate(invalid="ignore"):
+            want = masked(x)
+        got = sigmoid(x)
+        assert got.shape == x.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_activate_kinds():
@@ -82,6 +104,24 @@ def test_getitem_backward_accumulates():
     loss = (x[1] + x[1] + x[2]).sum()
     loss.backward()
     assert np.array_equal(x.grad, [0.0, 2.0, 1.0, 0.0])
+
+
+def test_basic_slices_add_into_the_parent_gradient():
+    """Basic slices write their gradients into the parent's in place; an
+    integer-array index with repeats still adds every occurrence."""
+    rng = np.random.default_rng(2)
+    x = parameter(rng.normal(size=(6, 3)))
+    w = rng.normal(size=(6, 3))
+    parts = [x[0:2], x[2:5], x[1:3, 1], x[5]]
+    idx = np.array([0, 0, 4])
+    loss = sum((p * Tensor(w[s])).sum() for p, s in zip(
+        parts, [np.s_[0:2], np.s_[2:5], np.s_[1:3, 1], np.s_[5]])) + x[idx].sum()
+    loss.backward()
+    want = np.zeros((6, 3))
+    for s in (np.s_[0:2], np.s_[2:5], np.s_[1:3, 1], np.s_[5]):
+        want[s] += w[s]
+    np.add.at(want, idx, 1.0)
+    assert np.array_equal(x.grad, want)
 
 
 def test_depthwise_conv_value():
@@ -146,6 +186,66 @@ def test_batchnorm_accumulation_pools_exact_moments():
     allx = np.concatenate(chunks)
     assert np.allclose(bn.running_mean, allx.mean(axis=0))
     assert np.allclose(bn.running_var, allx.var(axis=0))
+
+
+def _frozen_norm(rng, channels):
+    """A normalizer with non-identity statistics, scale and shift."""
+    bn = BatchNorm(channels)
+    bn.start_accumulation()
+    bn(Tensor(rng.normal(1.5, 3.0, size=(40, channels))))
+    bn.stop_accumulation()
+    bn.gamma.data = rng.normal(1.0, 0.5, size=channels)
+    bn.beta.data = rng.normal(0.0, 0.5, size=channels)
+    return bn
+
+
+def test_linear_folds_frozen_batch_norms():
+    """post(pre(x) @ w + b) as one folded op equals the unfolded composition,
+    outputs and gradients to 1e-12, with every combination of parts."""
+    rng = np.random.default_rng(31)
+    n, m = 5, 4
+    for with_pre, with_post, with_bias in [(True, True, True), (True, False, True),
+                                           (False, True, False), (True, True, False),
+                                           (False, False, True), (False, False, False)]:
+        x = parameter(rng.normal(2.0, 3.0, size=(3, 7, n)))
+        w = parameter(rng.normal(size=(n, m)))
+        b = parameter(rng.normal(size=m)) if with_bias else None
+        pre = _frozen_norm(rng, n) if with_pre else None
+        post = _frozen_norm(rng, m) if with_post else None
+        g = rng.normal(size=(3, 7, m))
+        leaves = [x, w] + ([b] if with_bias else []) + [
+            t for bn in (pre, post) if bn is not None for t in (bn.gamma, bn.beta)]
+
+        def run(folded):
+            for t in leaves:
+                t.grad = None
+            if folded:
+                y = linear(x, w, b, pre=pre and pre.scale_shift(),
+                           post=post and post.scale_shift())
+            else:
+                h = (pre(x) if pre else x).reshape(-1, n) @ w
+                h = (h + b if b is not None else h).reshape(3, 7, m)
+                y = post(h) if post else h
+            (y * Tensor(g)).sum().backward()
+            return y.data, [t.grad.copy() for t in leaves]
+
+        (y_f, g_f), (y_u, g_u) = run(True), run(False)
+        assert np.max(np.abs(y_f - y_u)) <= 1e-12 * np.max(np.abs(y_u))
+        for a, e in zip(g_f, g_u):
+            assert np.max(np.abs(a - e)) <= 1e-12 * np.max(np.abs(e))
+
+
+def test_linear_gradient():
+    rng = np.random.default_rng(8)
+    x = parameter(rng.normal(size=(2, 4, 3)))
+    w = parameter(rng.normal(size=(3, 2)))
+    b = parameter(rng.normal(size=2))
+    pre = (parameter(rng.normal(size=3)), parameter(rng.normal(size=3)))
+    post = (parameter(rng.normal(size=2)), parameter(rng.normal(size=2)))
+    gradcheck(lambda: (linear(x, w, b, pre=pre, post=post) ** 2).sum(),
+              [x, w, b, *pre, *post])
+    with pytest.raises(ShapeError):
+        linear(x, Tensor(np.ones((2, 2))))
 
 
 def test_mac_counter_matmul():

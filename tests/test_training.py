@@ -14,7 +14,7 @@ from sedformer.data import WindowItem
 from sedformer.encoder import EventSeries
 from sedformer.errors import ConfigError
 from sedformer.model import ModelConfig, SedFormer
-from sedformer.tensor import Tensor, parameter
+from sedformer.tensor import Tensor, _toposort, parameter
 from sedformer.training import (Adam, TrainConfig, baseline_metrics, evaluate,
                                 flat_errors, flat_metrics, load_checkpoint,
                                 mean_forecast, persistence_forecast,
@@ -185,6 +185,50 @@ def test_backward_frees_the_training_tape():
     assert after <= grads + 0.05 * tape
 
 
+def test_training_tape_stays_lean():
+    """A suite-sized window (K = 85, 120 queries): with the normalizers
+    folded, the attention core and the loss one op each, the loss graph
+    has at most 215 op nodes and its tape holds at most 2.2 MiB (the
+    composed graph held 2.74 MiB)."""
+    item = synth_suite(SuiteConfig(n_series=1, n_days=210, seed=0))["train"][0]
+    assert item.series.n_events == 85 and item.n_queries == 120
+    model = SedFormer(ModelConfig(n_variates=item.series.n_variates))
+    model.calibrate([item.series])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = variate_balanced_mse(model.forward(item.series, item.query_times),
+                                    item.targets)
+        tape = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    ops = [node for node in _toposort(loss) if node._backward is not None]
+    assert len(ops) <= 215
+    assert tape <= 2.2 * 2 ** 20
+
+
+@pytest.mark.filterwarnings("ignore:.*no queries")
+def test_run_loss_is_the_sum_of_window_losses(rng):
+    """The loss of a run of windows is one op equal to the sum of the
+    windows' losses, with the same gradients."""
+    preds = [[parameter(rng.normal(size=n)) if n else None for n in sizes]
+             for sizes in ((2, 0, 3), (1, 1, 4))]
+    targets = [[rng.normal(size=p.shape) if p is not None else np.zeros(0) for p in row]
+               for row in preds]
+    run = variate_balanced_mse(preds, targets)
+    run.backward()
+    run_grads = [p.grad.copy() for row in preds for p in row if p is not None]
+    for p in (p for row in preds for p in row if p is not None):
+        p.grad = None
+    single = [variate_balanced_mse(p, t) for p, t in zip(preds, targets)]
+    (single[0] + single[1]).backward()
+    assert abs(run.item() - sum(s.item() for s in single)) <= 1e-15 * run.item()
+    for a, p in zip(run_grads, (p for row in preds for p in row if p is not None)):
+        assert np.max(np.abs(a - p.grad)) <= 1e-15 * np.max(np.abs(p.grad))
+    with pytest.raises(ConfigError):  # every window of a run needs a query
+        variate_balanced_mse(preds + [[None, None, None]], targets + [[np.zeros(0)] * 3])
+
+
 def _one_window_step(model, items, lr):
     """The reference minibatch step: one forward and backward per window."""
     model.calibrate([item.series for item in items])
@@ -214,7 +258,7 @@ def test_batched_minibatch_step_matches_one_window_steps(monkeypatch):
     runs = []
     forward = batched.forward
     monkeypatch.setattr(batched, "forward", lambda s, q: runs.append(len(s)) or forward(s, q))
-    monkeypatch.setattr(training_mod, "TRAIN_BATCH_ROWS", 150)
+    monkeypatch.setattr(training_mod, "BATCH_ROWS", 150)
     train(batched, items, [], TrainConfig(epochs=1, batch_size=len(items), lr=1e-2))
     assert len(runs) >= 2 and max(runs) > 1
     _one_window_step(single, items, lr=1e-2)
