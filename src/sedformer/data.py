@@ -53,6 +53,8 @@ class CleanConfig:
             raise ConfigError(f"outlier multiplier must be positive, got {self.outlier_mult}")
         if not (0.0 <= self.rate <= 1.0):
             raise ConfigError(f"sparsifying rate must lie in [0, 1], got {self.rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # -- ingestion ---------------------------------------------------------------------
@@ -401,6 +403,13 @@ class SuiteConfig:
     quiet_keep: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("n_series", "n_variates", "n_days"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
 
 def synth_suite_panel(cfg: SuiteConfig, series_index: int) -> tuple[np.ndarray, np.ndarray]:
     """One multivariate panel: cleaned truth [D, T] and keep mask [D, T]."""
@@ -484,8 +493,15 @@ class VizConfig:
             raise ConfigError("need at least one sample in each phase")
         if self.grid_size < 2:
             raise ConfigError("grid needs at least 2 points")
+        for name in ("noise_std", "delta_threshold", "conv_threshold", "tau", "v_th", "gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0 or self.v_th <= 0:
             raise ConfigError("tau and v_th must be positive")
+        if self.noise_std < 0:
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def viz_baseline(t: np.ndarray) -> np.ndarray:

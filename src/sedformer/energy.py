@@ -59,8 +59,9 @@ class EnergyModel:
 
     def __post_init__(self):
         for name in ("e_mac", "e_add", "e_acc", "e_cmp", "e_rd", "e_wr"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def count_ann_layer(d_in: int, d_out: int, t_eff: int) -> OpCounts:

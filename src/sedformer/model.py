@@ -1,6 +1,6 @@
 """Full forecaster: encoder -> event pooling -> blocks -> summary -> decoder.
 
-The decoder is query-based: one summary vector per variate is concatenated
+The decoder is query-based: one summary vector per variate is paired
 with the time embedding of each requested horizon stamp and mapped to a
 scalar prediction, so any set of future times can be queried without
 regridding.
@@ -16,15 +16,18 @@ from .backbone import Block, TimeEmbedding, aggregate_observed, embed_tokens
 from .downsample import pool_events
 from .encoder import EventBatch, EventSeries, SedSeEncoder, event_gaps, window_lengths
 from .errors import ConfigError, DataError
-from .tensor import (BatchNorm, Module, Tensor, assert_finite, concat, linear, no_grad,
-                     parameter)
+from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, assert_finite, count_macs,
+                     linear, make_op, no_grad, parameter)
 
 # Rows of one padded batch: event x variate slots (K_max * B * D) plus the
 # decoder's query rows. Training runs, evaluate and calibrate group windows
 # in order up to this size; a larger window runs alone. Measured with the
-# benchmark: 3072 rows evaluate `suite` only ~6 % faster per window than
-# 2048, but raise `sparse_short`'s peak RSS by ~3 %, where the decoder rows
-# of its query-heavy windows dominate a batch.
+# benchmark, before the decoder was factored: 3072 rows evaluate `suite`
+# only ~6 % faster per window than 2048, but raise `sparse_short`'s peak
+# RSS by ~3 %. Query rows are still two thirds of a `sparse_short` batch's
+# rows (120 queries to ~64 event slots per window), but with the factored
+# decoder they hold about a third of its training tape (~1 KiB per query
+# against ~3 KiB per event slot).
 BATCH_ROWS = 2048
 
 
@@ -68,14 +71,18 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_variates < 1:
             raise ConfigError("need at least one variate")
+        if self.heads < 1:
+            raise ConfigError(f"need at least one attention head, got heads={self.heads}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.blocks < 1:
             raise ConfigError("need at least one block")
         if self.pool_stride < 1:
             raise ConfigError("pool stride must be >= 1")
-        if self.tau_init < 1.0:
-            raise ConfigError("tau_init must be >= 1")
+        if not (np.isfinite(self.tau_init) and self.tau_init >= 1.0):
+            raise ConfigError(f"tau_init must be finite and >= 1, got {self.tau_init}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -89,10 +96,59 @@ class ModelConfig:
         return cls(**d)
 
 
+def _segment_sum(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """Rows of ``g`` [Q, m] summed by ``index`` [Q] into [n, m]; a segment
+    with no row is 0. One stable sort and one ``reduceat``."""
+    out = np.zeros((n, g.shape[1]))
+    counts = np.bincount(index, minlength=n)
+    filled = counts > 0
+    if np.any(filled):
+        starts = np.cumsum(counts) - counts  # reduceat gives a row, not 0, for an empty segment
+        out[filled] = np.add.reduceat(g[np.argsort(index, kind="stable")], starts[filled],
+                                      axis=0)
+    return out
+
+
+def query_mlp(a: Tensor, e: Tensor, rows: np.ndarray, cols: np.ndarray,
+              w2: Tensor, b2: Tensor, w3: Tensor, b3: Tensor) -> Tensor:
+    """The decoder after its first layer's two halves, as one op.
+
+    a: [R, m] first-layer rows of the summaries; e: [U, m] first-layer rows
+    (bias included) of the distinct query stamps; query i pairs
+    ``a[rows[i]]`` with ``e[cols[i]]``. Output [Q, 1]:
+        h1 = relu(a[rows] + e[cols]),  h2 = relu(h1 @ w2 + b2),  y = h2 @ w3 + b3.
+    The tape keeps only h1 and h2. The backward takes every parameter
+    gradient from ``h2^T g`` and ``h1^T g2`` (g2: the gradient at h2's
+    pre-activation), and the gradients of ``a`` and ``e`` as sums over each
+    one's query rows (``_segment_sum``).
+    """
+    h1 = np.maximum(a.data[rows] + e.data[cols], 0.0)
+    h2 = np.maximum(h1 @ w2.data + b2.data, 0.0)
+    out = h2 @ w3.data + b3.data
+    count_macs(h2.size * h1.shape[1] + out.size * h2.shape[1])
+
+    def bwd(g):
+        accumulate_grad(w3, h2.T @ g)
+        accumulate_grad(b3, g.sum(axis=0))
+        g = g @ w3.data.T
+        g *= h2 > 0.0  # h > 0 exactly where its pre-activation is
+        accumulate_grad(w2, h1.T @ g)
+        accumulate_grad(b2, g.sum(axis=0))
+        g = g @ w2.data.T
+        g *= h1 > 0.0
+        accumulate_grad(a, _segment_sum(g, rows, a.shape[0]))
+        accumulate_grad(e, _segment_sum(g, cols, e.shape[0]))
+
+    return make_op(out, (a, e, w2, b2, w3, b3), bwd)
+
+
 class Decoder(Module):
     """Maps (variate summary, query-time embedding) to one scalar.
 
-    MLP: 2d -> 2d -> rectifier -> 2d -> rectifier -> 1.
+    MLP: 2d -> 2d -> rectifier -> 2d -> rectifier -> 1 on the concatenated
+    pair. The first layer acts on the two halves apart, w1 = [w1_z; w1_t],
+    so it runs once per summary and once per distinct stamp instead of once
+    per query; ``query_mlp`` does the rest.
     """
 
     def __init__(self, dim: int, seed: int = 0):
@@ -106,10 +162,13 @@ class Decoder(Module):
         self.w2, self.b2 = mat(w, w), parameter(np.zeros(w))
         self.w3, self.b3 = mat(w, 1), parameter(np.zeros(1))
 
-    def __call__(self, z_and_te: Tensor) -> Tensor:
-        h = linear(z_and_te, self.w1, self.b1).relu()
-        h = linear(h, self.w2, self.b2).relu()
-        return linear(h, self.w3, self.b3)
+    def __call__(self, z: Tensor, te: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
+        """z: [R, d] summaries; te: [U, d] stamp embeddings; query i decodes
+        (z[rows[i]], te[cols[i]]). Output [Q, 1]."""
+        d = z.shape[-1]
+        a = linear(z, self.w1[:d])
+        e = linear(te, self.w1[d:], self.b1)
+        return query_mlp(a, e, rows, cols, self.w2, self.b2, self.w3, self.b3)
 
 
 class SedFormer(Module):
@@ -188,7 +247,8 @@ class SedFormer(Module):
         Returns a list of [Q_d] tensors (None where Q_d == 0). A list of B
         windows takes a list of B such query lists, runs as one batch (see
         ``summarize``) and returns one such list per window. Every query of
-        every variate (and window) goes through one decoder call.
+        every variate (and window) goes through one decoder call, which
+        embeds each distinct stamp once.
         """
         single = isinstance(series, EventSeries)
         windows, per_window = ([series], [query_times]) if single else (
@@ -206,8 +266,8 @@ class SedFormer(Module):
             raise DataError("query times must be finite")
         sizes = [q.size for q in qs]
         rows = np.repeat(np.arange(len(qs)), sizes)  # query -> its (window,) variate
-        y = self.decoder(concat([z[np.unravel_index(rows, z.shape[:-1])], self.te(stamps)],
-                                axis=1)).reshape(-1)
+        uniq, cols = np.unique(stamps, return_inverse=True)  # query -> its distinct stamp
+        y = self.decoder(z.reshape(-1, z.shape[-1]), self.te(uniq), rows, cols).reshape(-1)
         ends = np.cumsum(sizes)
         preds = [y[end - n:end] if n else None for n, end in zip(sizes, ends)]
         D = self.config.n_variates

@@ -168,8 +168,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if self.grad_clip is not None and not (np.isfinite(self.grad_clip)
+                                               and self.grad_clip > 0):
+            raise ConfigError(f"grad_clip must be finite and positive, got {self.grad_clip}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def evaluate(model: SedFormer, items: list[WindowItem]) -> dict:

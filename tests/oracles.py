@@ -6,6 +6,8 @@ gradients against it:
 
 - ``composed_attention``: ``SedAttention`` with its normalizers applied
   unfolded and the linear-attention core as batched tape products.
+- ``concat_decoder``: the ``Decoder`` MLP over concatenated
+  ``[summary, time embedding]`` query rows, three ``linear`` layers.
 - ``lif_step`` / ``ealif_step`` (with ``LifConfig`` / ``EaLifConfig``):
   one neuron update per call, the reference for the event-driven scans and
   for criterion 2.
@@ -20,10 +22,11 @@ import numpy as np
 
 from sedformer.backbone import SedAttention
 from sedformer.errors import ConfigError, DataError
+from sedformer.model import Decoder
 from sedformer.neuron import (ealif_filter, eta_for_tau, heaviside, surrogate_grad,
                               tau_from_eta)
-from sedformer.tensor import (BatchNorm, Tensor, accumulate_grad, make_op, parameter,
-                              sigmoid)
+from sedformer.tensor import (BatchNorm, Tensor, accumulate_grad, concat, linear, make_op,
+                              parameter, sigmoid)
 
 # -- attention ---------------------------------------------------------------------
 
@@ -60,6 +63,17 @@ def composed_attention(attn: SedAttention, x: Tensor, gaps: np.ndarray,
     y = (phi_q @ kv) / (phi_q @ k_sum + attn.eps)                          # [B, H, K'*D, d_h]
     y = y.reshape(B, H, Kp, D, dh).transpose(2, 0, 3, 1, 4).reshape(-1, dim)
     return (y @ attn.w_o).reshape(x.shape)
+
+
+# -- decoder -----------------------------------------------------------------------
+
+
+def concat_decoder(dec: Decoder, z: Tensor, te: Tensor) -> Tensor:
+    """``Decoder`` on one row per query: z, te [Q, d] -> [Q, 1], with the
+    first layer on the concatenation ``[z, te]`` [Q, 2d]."""
+    h = linear(concat([z, te], axis=1), dec.w1, dec.b1).relu()
+    h = linear(h, dec.w2, dec.b2).relu()
+    return linear(h, dec.w3, dec.b3)
 
 
 # -- per-step neurons ----------------------------------------------------------------

@@ -3,11 +3,15 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from sedformer.cli import main
+
+TINY_TRAIN = ["--epochs", "1", "--dim", "8", "--heads", "2", "--blocks", "1", "--stride", "2",
+              "--channels", "4"]
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +23,7 @@ def workdir(tmp_path_factory):
     rc = main(["prepare", "--synthetic", "--series", "2", "--days", "210",
                "--out-dir", data_dir])
     assert rc == 0
-    rc = main(["train", "--data", data_dir, "--epochs", "1", "--dim", "8",
-               "--heads", "2", "--blocks", "1", "--stride", "2",
-               "--channels", "4", "--out-dir", run_dir])
+    rc = main(["train", "--data", data_dir, *TINY_TRAIN, "--out-dir", run_dir])
     assert rc == 0
     return {"root": root, "data": data_dir, "run": run_dir,
             "ckpt": os.path.join(run_dir, "checkpoint.json")}
@@ -250,3 +252,44 @@ def test_overflowing_viz_kernel_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2
         assert "error:" in err and "kernel" in err and "Traceback" not in err
+
+
+INVALID_SETTINGS = [  # (command, flags, the setting the error must name)
+    ("train", ["--heads", "0"], "heads"),
+    ("train", ["--heads", "-1"], "heads"),
+    ("train", ["--seed", "-1"], "seed"),
+    ("train", ["--tau", "nan"], "tau_init"),
+    ("train", ["--tau", "inf"], "tau_init"),
+    ("train", ["--lr", "nan"], "lr"),
+    ("train", ["--epochs", "-1"], "epochs"),
+    ("train", ["--grad-clip", "-1"], "grad_clip"),
+    ("train", ["--grad-clip", "nan"], "grad_clip"),
+    ("prepare", ["--days", "0"], "n_days"),
+    ("prepare", ["--days", "-5"], "n_days"),
+    ("prepare", ["--seed", "-2"], "seed"),
+    ("viz", ["--seed", "-1"], "seed"),
+    ("energy", ["--e-mac", "nan"], "e_mac"),
+    ("viz", ["--tau", "nan"], "tau"),
+    ("viz", ["--v-th", "nan"], "v_th"),
+    ("viz", ["--theta", "nan"], "delta_threshold"),
+    ("viz", ["--tau-c", "nan"], "conv_threshold"),
+    ("viz", ["--gamma", "nan"], "gamma"),
+    ("viz", ["--noise-std", "nan"], "noise_std"),
+]
+
+
+@pytest.mark.parametrize("command, flags, field", INVALID_SETTINGS,
+                         ids=[f"{c} {'='.join(f)}" for c, f, _ in INVALID_SETTINGS])
+def test_invalid_setting_exits_2(tmp_path, workdir, capsys, command, flags, field):
+    """Each setting is rejected with exit 2 and an error naming it, before
+    any run writes a non-finite number."""
+    inputs = {"prepare": ["--synthetic", "--series", "2"],
+              "train": ["--data", workdir["data"], *TINY_TRAIN],
+              "energy": ["--data", workdir["data"], "--checkpoint", workdir["ckpt"]],
+              "viz": []}[command]
+    out = tmp_path / "out"
+    assert main([command, *inputs, *flags, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and field in err and "Traceback" not in err
+    for path in (p for p in out.rglob("*") if p.is_file()):
+        assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), path

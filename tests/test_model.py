@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_series
+from conftest import gradcheck, random_series
+from oracles import concat_decoder
 from sedformer.encoder import EventSeries
 from sedformer.energy import model_energy_report
 from sedformer.errors import ConfigError, DataError
-from sedformer.model import ModelConfig, SedFormer
-from sedformer.tensor import BatchNorm, Tensor, concat
+from sedformer.model import ModelConfig, SedFormer, query_mlp
+from sedformer.tensor import BatchNorm, Tensor, concat, parameter
 from sedformer.training import WindowItem, variate_balanced_mse
 
 
@@ -67,7 +68,8 @@ def test_predict_deterministic_and_mode_safe(rng):
 
 
 def test_forward_decodes_all_variates_at_once(rng):
-    """One batched decoder call equals decoding each variate on its own."""
+    """One batched decoder call equals decoding each variate on its own
+    with the concatenated MLP."""
     model = SedFormer(small_config())
     series = random_series(rng, n_events=12)
     model.calibrate([series])
@@ -80,9 +82,82 @@ def test_forward_decodes_all_variates_at_once(rng):
                 assert p is None
                 continue
             tiled = Tensor(np.repeat(z[d:d + 1], qd.size, axis=0))
-            want = model.decoder(concat([tiled, model.te(qd)], axis=1)).data[:, 0]
+            want = concat_decoder(model.decoder, tiled, model.te(qd)).data[:, 0]
             assert p.shape == qd.shape
             assert np.max(np.abs(p.data - want)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:.*no observed pooled step")
+def test_factored_decoder_matches_concat_oracle_on_padded_batches(rng):
+    """The decoder of a padded batch (one history variate unobserved, a
+    variate and a window without queries, stamps repeated within a
+    variate and across variates and windows) against the concatenated MLP
+    on one gathered row per query: outputs and the gradients of every
+    parameter to 1e-12."""
+    model = SedFormer(small_config(blocks=2, pool_stride=4))
+    windows = [random_series(rng, n_events=k) for k in (14, 3, 22, 9)]
+    mask = windows[2].mask.copy()
+    mask[:, 1] = 0.0
+    mask[mask.sum(axis=1) == 0, 0] = 1.0
+    windows[2] = EventSeries(times=windows[2].times, values=windows[2].values * mask, mask=mask)
+    model.calibrate(windows)
+    for p in model.decoder.parameters().values():
+        p.data = p.data + rng.normal(0.0, 0.3, size=p.shape)
+    shared = np.array([95.0, 100.5, 104.0])
+    none = np.zeros(0)
+    queries = [
+        [shared, none, np.array([100.5, 91.0, 100.5])],
+        [none, none, none],
+        [shared[::-1], shared, np.sort(rng.uniform(90.0, 120.0, size=4))],
+        [np.array([95.0]), np.array([117.0, 95.0]), shared],
+    ]
+    qs = [q for row in queries for q in row]
+    rows = np.repeat(np.arange(len(qs)), [q.size for q in qs])
+    g = rng.normal(size=rows.size)
+    params = model.parameters()
+
+    def run(decode):
+        for p in params.values():
+            p.grad = None
+        y = decode()
+        (y * Tensor(g)).sum().backward()
+        return y.data, {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+
+    def factored():
+        preds = model.forward(windows, queries)
+        assert [p is None for row in preds for p in row] == [q.size == 0 for q in qs]
+        return concat([p for row in preds for p in row if p is not None])
+
+    def oracle():
+        z = model.summarize(windows)
+        z = z.reshape(-1, z.shape[-1])[rows]
+        return concat_decoder(model.decoder, z, model.te(np.concatenate(qs))).reshape(-1)
+
+    y_f, g_f = run(factored)
+    y_c, g_c = run(oracle)
+    assert np.max(np.abs(y_f - y_c)) <= 1e-12 * np.max(np.abs(y_c))
+    assert g_f.keys() == g_c.keys() == params.keys()
+    scale = max(np.max(np.abs(e)) for e in g_c.values())
+    for k, e in g_c.items():
+        assert np.max(np.abs(g_f[k] - e)) <= 1e-12 * scale, k
+
+
+def test_query_mlp_gradcheck_with_empty_segments():
+    """Gradients of the decoder op where a summary (row 2) and two stamps
+    (0 and 3) have no query: those get exactly 0."""
+    rng = np.random.default_rng(6)
+    m = 4
+    a, e = parameter(rng.normal(size=(4, m))), parameter(rng.normal(size=(5, m)))
+    rows = np.array([0, 0, 1, 3, 3, 3, 1])
+    cols = np.array([1, 4, 1, 2, 4, 1, 2])
+    w2, b2 = parameter(rng.normal(size=(m, m))), parameter(rng.normal(size=m))
+    w3, b3 = parameter(rng.normal(size=(m, 1))), parameter(rng.normal(size=1))
+    w = rng.normal(size=(rows.size, 1))
+    gradcheck(lambda: (query_mlp(a, e, rows, cols, w2, b2, w3, b3) * Tensor(w)).sum(),
+              [a, e, w2, b2, w3, b3])
+    assert np.all(a.grad[2] == 0.0) and np.all(e.grad[[0, 3]] == 0.0)
+    assert np.all(np.any(a.grad[[0, 1, 3]] != 0.0, axis=1))
+    assert np.all(np.any(e.grad[[1, 2, 4]] != 0.0, axis=1))
 
 
 def test_seeded_construction_identical(rng):

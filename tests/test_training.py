@@ -207,6 +207,30 @@ def test_training_tape_stays_lean():
     assert tape <= 2.2 * 2 ** 20
 
 
+def test_query_heavy_run_tape_stays_lean():
+    """A run of 10 sparse windows (K <= 16, D = 4, 1,200 queries): the
+    decoder projects each summary and embeds each of the 30 distinct
+    stamps once and keeps two [Q, 2d] arrays, so the tape holds at most
+    4.5 MiB (the per-query MLP held 6.5 MiB)."""
+    train = synth_suite(SuiteConfig(n_series=2, n_days=600, rate=0.95, seed=0),
+                        min_events=1)["train"]
+    items = [item for item in train if item.series.n_events <= 16][:10]
+    assert len(items) == 10 and sum(item.n_queries for item in items) == 1200
+    model = SedFormer(ModelConfig(n_variates=4))
+    model.calibrate([item.series for item in items])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = variate_balanced_mse(
+            model.forward([item.series for item in items], [item.query_times for item in items]),
+            [item.targets for item in items])
+        tape = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert tape <= 4.5 * 2 ** 20
+
+
 @pytest.mark.filterwarnings("ignore:.*no queries")
 def test_run_loss_is_the_sum_of_window_losses(rng):
     """The loss of a run of windows is one op equal to the sum of the
