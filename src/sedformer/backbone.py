@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .neuron import ealif_filter, eta_for_tau_init
 from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, concat, count_macs, linear,
-                     make_op, parameter)
+                     make_op, parameter, scope)
 
 
 class TimeEmbedding(Module):
@@ -101,7 +101,8 @@ def linear_attention(phi_q: Tensor, phi_k: Tensor, vtil: Tensor, heads: int,
     k_sum = k.sum(axis=-2)[..., None]               # [B, H, d_h, 1]
     den = q @ k_sum + eps                           # [B, H, N, 1]
     out = merge((q @ kv) / den)
-    count_macs(2 * q.size * dh + q.size + (k.size if mask is not None else 0))
+    count_macs(2 * q.size * dh + q.size + (k.size if mask is not None else 0),
+               q.size + k.size + v.size, out.size)
 
     def bwd(g):
         q = split(phi_q.data)
@@ -224,8 +225,10 @@ class Block(Module):
 
     def __call__(self, x: Tensor, gaps: np.ndarray,
                  lengths: np.ndarray | None = None) -> Tensor:
-        x = x + self.attn(x, gaps, lengths, norm=self.bn1)
-        return x + self.ffn(x, lengths, norm=self.bn2)
+        with scope("attention"):
+            x = x + self.attn(x, gaps, lengths, norm=self.bn1)
+        with scope("ffn"):
+            return x + self.ffn(x, lengths, norm=self.bn2)
 
 
 def aggregate_observed(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -148,6 +148,9 @@ def cmd_prepare(args) -> int:
         splits, meta = data_mod.prepare_corpus(r["corpus"], clean_cfg,
                                                n_variates=n_var,
                                                window_stride=int(r["window_stride"]))
+    if not splits["train"]:
+        source = f"days={r['days']}" if r["synthetic"] else f"corpus {r['corpus']}"
+        raise DataError(f"{source} gives no training window ({data_mod.WINDOW_DAYS} days each)")
     data_mod.write_dataset(out, splits, meta)
     _write_config(out, "prepare", r)
     print(f"prepared dataset in {out}: " +
@@ -311,8 +314,7 @@ def cmd_energy(args) -> int:
     em = EnergyModel(e_mac=float(r["e_mac"]), e_add=float(r["e_add"]),
                      e_acc=float(r["e_acc"]), e_cmp=float(r["e_cmp"]),
                      e_rd=float(r["e_rd"]), e_wr=float(r["e_wr"]))
-    grid_steps = None if r["grid_steps"] is None else int(r["grid_steps"])
-    report = model_energy_report(model, items, em, grid_steps=grid_steps)
+    report = model_energy_report(model, items, em, grid_steps=r["grid_steps"])
     with open(os.path.join(out, "energy.json"), "w") as f:
         json.dump(report, f, sort_keys=True, indent=2)
         f.write("\n")

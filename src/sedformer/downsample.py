@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .encoder import window_lengths
-from .tensor import Tensor, accumulate_grad, is_recording, make_op
+from .tensor import Tensor, accumulate_grad, count_spikes, is_recording, make_op
 
 
 def _n_windows(stride: int, length: int) -> int:
@@ -103,6 +103,7 @@ def pool_events(spikes: Tensor, mask: np.ndarray, times: np.ndarray,
         real = np.arange(K)[:, None] < lengths
         spikes = spikes * Tensor(real.reshape(real.shape + (1,) * (spikes.ndim - 2)))
     pooled = _max_op(spikes, s, n)
+    count_spikes("pool", pooled.data)
     pooled_mask = mask[:n * s].reshape((n, s) + mask.shape[1:]).max(axis=1)
     pooled_times = times[s - 1::s][:n].copy()
     if lengths is not None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .neuron import ealif_spike_scan, eta_for_tau_init
-from .tensor import BatchNorm, Module, Tensor, depthwise_conv1d, parameter
+from .tensor import BatchNorm, Module, Tensor, depthwise_conv1d, parameter, scope
 
 
 @dataclass
@@ -220,20 +220,24 @@ class SedSeEncoder(Module):
             raise DataError(
                 f"encoder built for {self.n_variates} variates, series has {series.n_variates}")
         observed = Tensor(np.where(series.mask == 1.0, series.values, 0.0))  # 0 if unobserved/pad
-        if self.bn.accumulating:  # its moments need the raw convolution
-            x_loc = self.bn(depthwise_conv1d(observed, self.kernels), window_lengths(series.mask))
-        else:  # the frozen map folds into the kernels (scale per channel) plus a shift
-            scale, shift = self.bn.scale_shift()
-            x_loc = depthwise_conv1d(observed, self.kernels * scale.reshape(-1, 1)) + shift
+        with scope("conv"):
+            if self.bn.accumulating:  # its moments need the raw convolution
+                x_loc = self.bn(depthwise_conv1d(observed, self.kernels),
+                                window_lengths(series.mask))
+            else:  # the frozen map folds into the kernels (scale per channel) plus a shift
+                scale, shift = self.bn.scale_shift()
+                x_loc = depthwise_conv1d(observed, self.kernels * scale.reshape(-1, 1)) + shift
         gaps = event_gaps(series.times, first_gap=self.first_gap)
-        s = self.gate(gaps).reshape(gaps.shape + (1, 1))
-        gamma = self.gamma_hat.softplus()
-        return (x_loc * s - self.theta) * gamma, gaps
+        with scope("dynamics"):
+            s = self.gate(gaps).reshape(gaps.shape + (1, 1))
+            gamma = self.gamma_hat.softplus()
+            return (x_loc * s - self.theta) * gamma, gaps
 
     def encode(self, series: EventSeries | EventBatch,
                smooth: bool = False) -> tuple[Tensor, np.ndarray]:
         """Spike raster [K, D, C] ([K, B, D, C] for a batch) and the event gaps used for decay."""
         current, gaps = self.drive_current(series)
-        spikes = ealif_spike_scan(current, gaps, self.eta, v_th=self.v_th,
-                                  alpha=self.alpha, smooth=smooth)
+        with scope("dynamics"):
+            spikes = ealif_spike_scan(current, gaps, self.eta, v_th=self.v_th,
+                                      alpha=self.alpha, smooth=smooth)
         return spikes, gaps

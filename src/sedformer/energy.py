@@ -1,24 +1,25 @@
-"""Theoretical operation counting and 45 nm energy estimation.
+"""Operation counting and 45 nm energy estimation.
 
-Dense (value-driven) layers are billed per multiply-accumulate and
-addition; spike-driven layers are billed per synaptic operation, where
-each spike triggers accumulate + compare + one read and one write. Firing
-rates are measured from forward passes, never assumed. e_mac and e_add
-follow published 45 nm figures; the accumulate/compare/read/write values
-are representative small-SRAM numbers and are labeled as configured, not
-sourced, in every report.
+Counts and firing rates come from the forward's own ops (a ``mac_counter``
+with a scope per layer), never from formulas or assumptions; the dense
+reference runs the same model on a regular grid. Dense (value-driven)
+layers are billed per multiply-accumulate and addition; spike-driven ones
+per synaptic operation (accumulate + compare + one read and one write).
+e_mac and e_add follow published 45 nm figures; the accumulate/compare/
+read/write values are representative small-SRAM numbers, labeled as
+configured, not sourced, in every report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .downsample import pool_events
-from .errors import ConfigError
+from .encoder import EventSeries
+from .errors import ConfigError, DataError
 from .model import SedFormer
-from .tensor import no_grad
+from .tensor import mac_counter, no_grad
 from .training import WindowItem
 
 CONFIG_NOTE = "e_acc/e_cmp/e_rd/e_wr are configured values, not published measurements"
@@ -64,12 +65,16 @@ class EnergyModel:
                 raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
 
 
-def count_ann_layer(d_in: int, d_out: int, t_eff: int) -> OpCounts:
-    """Dense layer activity over t_eff steps.
+def dense_counts(n_mac: int, n_rd: int, n_wr: int) -> OpCounts:
+    """Dense activity of MACs that read ``n_rd`` and write ``n_wr`` values:
+    each value written ends one sum, so n products take n - 1 additions."""
+    return OpCounts(n_mac=n_mac, n_add=n_mac - n_wr, n_rd=n_rd, n_wr=n_wr)
 
-    n_mac = d_in*d_out*t_eff, n_add = d_out*(d_in-1)*t_eff; memory traffic
-    is one parameter fetch per invocation plus per-step activation reads
-    and writes. Zero steps means zero activity of every kind.
+
+def count_ann_layer(d_in: int, d_out: int, t_eff: int) -> OpCounts:
+    """Dense layer activity over t_eff steps: n_mac = d_in*d_out*t_eff,
+    one parameter fetch per invocation plus per-step activation reads and
+    writes. Zero steps means zero activity of every kind.
     """
     if d_in < 1 or d_out < 1:
         raise ConfigError(f"dims must be positive, got d_in={d_in}, d_out={d_out}")
@@ -77,12 +82,7 @@ def count_ann_layer(d_in: int, d_out: int, t_eff: int) -> OpCounts:
         raise ConfigError(f"t_eff must be nonnegative, got {t_eff}")
     if t_eff == 0:
         return OpCounts()
-    return OpCounts(
-        n_mac=d_in * d_out * t_eff,
-        n_add=d_out * (d_in - 1) * t_eff,
-        n_rd=d_in * d_out + d_in * t_eff,
-        n_wr=d_out * t_eff,
-    )
+    return dense_counts(d_in * d_out * t_eff, d_in * d_out + d_in * t_eff, d_out * t_eff)
 
 
 def count_snn_layer(rho: float, events: int, d_out: int, n_params: int = 0) -> OpCounts:
@@ -123,9 +123,7 @@ def energy_estimate(layers: list[tuple[str, str, OpCounts]],
     for name, kind, counts in layers:
         pj = layer_energy(kind, counts, em)
         total += pj
-        rows.append({"layer": name, "kind": kind, "pj": pj,
-                     "n_mac": counts.n_mac, "n_add": counts.n_add,
-                     "n_rd": counts.n_rd, "n_wr": counts.n_wr, "sop": counts.sop})
+        rows.append({"layer": name, "kind": kind, "pj": pj, **asdict(counts)})
     return {"total_pj": total, "layers": rows, "note": CONFIG_NOTE}
 
 
@@ -133,82 +131,33 @@ def energy_estimate(layers: list[tuple[str, str, OpCounts]],
 
 
 def measure_spike_stats(model: SedFormer, items: list[WindowItem]) -> dict:
-    """Empirical firing rates and event counts from forward passes.
-
-    Runs the encoder and pooling with hard spikes and no tape, and reports,
-    over all items: raw events, pooled events, spike rates of the raw and
-    pooled rasters (spikes / spike slots).
-    """
-    raw_events = pooled_events = 0
-    raw_spikes = raw_slots = 0.0
-    pooled_spikes = pooled_slots = 0.0
-    with no_grad():
+    """Raw and pooled event counts and firing rates (spikes per spike slot),
+    and under ``ops`` [MACs, reads, writes] per forward scope, from one
+    ``model.forward`` per item inside a ``mac_counter`` (hard spikes, no
+    tape, so no pad rows)."""
+    with no_grad(), mac_counter() as counter:
         for item in items:
-            s = item.series
-            spikes, _ = model.encoder.encode(s, smooth=False)
-            raw_events += s.n_events
-            raw_spikes += float(spikes.data.sum())
-            raw_slots += spikes.size
-            pooled, _, _ = pool_events(spikes, s.mask, s.times, model.config.pool_stride)
-            pooled_events += pooled.shape[0]
-            pooled_spikes += float(pooled.data.sum())
-            pooled_slots += pooled.size
-    return {
-        "raw_events": raw_events,
-        "pooled_events": pooled_events,
-        "raw_rate": raw_spikes / raw_slots if raw_slots else 0.0,
-        "pooled_rate": pooled_spikes / pooled_slots if pooled_slots else 0.0,
-    }
+            model.forward(item.series, item.query_times)
+    raw_events, raw_spikes, raw_slots = counter.spikes.get("spike_scan", (0, 0.0, 0))
+    pooled_events, pooled_spikes, pooled_slots = counter.spikes.get("pool", (0, 0.0, 0))
+    return {"raw_events": raw_events, "pooled_events": pooled_events,
+            "raw_rate": raw_spikes / raw_slots if raw_slots else 0.0,
+            "pooled_rate": pooled_spikes / pooled_slots if pooled_slots else 0.0,
+            "ops": counter.ops}
 
 
 def count_model_layers(model: SedFormer, stats: dict,
-                       n_queries: int) -> list[tuple[str, str, OpCounts]]:
-    """Per-layer activity of one evaluation pass over the measured items.
-
-    The convolution and everything after the token embedding consume
-    continuous values (dense accounting); the token embedding consumes the
-    binary pooled raster, so it is spike-driven: only rows of the
-    embedding matrix selected by spikes are accumulated.
-    """
+                       n_queries: int | None = None) -> list[tuple[str, str, OpCounts]]:
+    """One row per forward scope of ``measure_spike_stats``, billed dense,
+    except the token embedding: it consumes the binary pooled raster, so
+    only rows of the embedding matrix selected by spikes are accumulated,
+    billed as synaptic operations (its row still shows the forward's MACs).
+    The decoder row holds the decoded queries; ``n_queries`` is unused."""
     c = model.config
-    K, Kp = stats["raw_events"], stats["pooled_events"]
-    D, C, d = c.n_variates, c.conv_channels, c.dim
-    dh = d // c.heads
-    layers: list[tuple[str, str, OpCounts]] = []
-    conv = OpCounts(
-        n_mac=K * D * C * c.kernel_size,
-        n_add=K * D * C * (c.kernel_size - 1),
-        n_rd=D * C * c.kernel_size + K * D,
-        n_wr=K * D * C)
-    layers.append(("encoder.conv", "ann", conv))
-    # gate + current + scan: a handful of elementwise ops per event slot
-    scan = OpCounts(n_mac=3 * K * D * C, n_add=2 * K * D * C,
-                    n_rd=K * D * C, n_wr=K * D * C)
-    layers.append(("encoder.dynamics", "ann", scan))
-    layers.append(("embed", "snn",
-                   count_snn_layer(stats["pooled_rate"], Kp * D, d, n_params=C * d)))
-    tokens = Kp * D
-    for i in range(c.blocks):
-        proj = count_ann_layer(d, d, tokens)
-        attn = OpCounts(
-            n_mac=4 * proj.n_mac + tokens * d * dh + tokens * (dh * dh + dh) * c.heads,
-            n_add=4 * proj.n_add,
-            n_rd=4 * proj.n_rd, n_wr=4 * proj.n_wr)
-        layers.append((f"block{i}.attention", "ann", attn))
-        ffn1 = count_ann_layer(d, 2 * d, tokens)
-        ffn2 = count_ann_layer(2 * d, d, tokens)
-        ffn = OpCounts(ffn1.n_mac + ffn2.n_mac, ffn1.n_add + ffn2.n_add,
-                       ffn1.n_rd + ffn2.n_rd, ffn1.n_wr + ffn2.n_wr)
-        layers.append((f"block{i}.ffn", "ann", ffn))
-    dec1 = count_ann_layer(2 * d, 2 * d, n_queries)
-    dec2 = count_ann_layer(2 * d, 2 * d, n_queries)
-    dec3 = count_ann_layer(2 * d, 1, n_queries)
-    dec = OpCounts(dec1.n_mac + dec2.n_mac + dec3.n_mac,
-                   dec1.n_add + dec2.n_add + dec3.n_add,
-                   dec1.n_rd + dec2.n_rd + dec3.n_rd,
-                   dec1.n_wr + dec2.n_wr + dec3.n_wr)
-    layers.append(("decoder", "ann", dec))
-    return layers
+    embed = count_snn_layer(stats["pooled_rate"], stats["pooled_events"] * c.n_variates, c.dim,
+                            n_params=c.conv_channels * c.dim)
+    return [(name, "snn", replace(embed, n_mac=row[0])) if name == "embed"
+            else (name, "ann", dense_counts(*row)) for name, row in stats["ops"].items()]
 
 
 def model_energy_report(model: SedFormer, items: list[WindowItem],
@@ -216,31 +165,29 @@ def model_energy_report(model: SedFormer, items: list[WindowItem],
                         grid_steps: int | None = None) -> dict:
     """Energy breakdown for evaluating ``items``, plus a dense-grid reference.
 
-    The reference re-bills the same architecture as if it ran on a regular
-    grid of ``grid_steps`` steps (default: 90 per item) with dense
-    arithmetic everywhere, giving the reported dense/event ratio.
+    The reference runs the same model on regular-grid copies of the windows
+    (``grid_steps`` split evenly across them, default 90 each; every variate
+    observed at every step; the same queries) and bills every row dense,
+    giving the reported dense/event ratio.
     """
     em = em or EnergyModel()
+    n = len(items)
+    if n == 0:
+        raise DataError("an energy report needs at least one window")
+    grid_steps = 90 * n if grid_steps is None else int(grid_steps)
+    if grid_steps < n:
+        raise ConfigError(f"grid_steps must give each of the {n} windows a step, got {grid_steps}")
     stats = measure_spike_stats(model, items)
-    n_queries = int(sum(it.n_queries for it in items))
-    layers = count_model_layers(model, stats, n_queries)
-    report = energy_estimate(layers, em)
-    report["firing"] = stats
-    if grid_steps is None:
-        grid_steps = 90 * len(items)
-    ref_stats = dict(stats)
-    ref_stats["raw_events"] = grid_steps
-    ref_stats["pooled_events"] = max(grid_steps // model.config.pool_stride, 1)
-    ref_layers = []
-    for name, _, counts in count_model_layers(model, ref_stats, n_queries):
-        if name == "embed":
-            c = model.config
-            dense = count_ann_layer(c.conv_channels, c.dim,
-                                    ref_stats["pooled_events"] * c.n_variates)
-            ref_layers.append((name, "ann", dense))
-        else:
-            ref_layers.append((name, "ann", counts))
-    ref = energy_estimate(ref_layers, em)
+    report = energy_estimate(count_model_layers(model, stats), em)
+    report["firing"] = {k: v for k, v in stats.items() if k != "ops"}
+    grid = []
+    for i, it in enumerate(items):
+        k, t, D = grid_steps // n + (i < grid_steps % n), it.series.times, it.series.n_variates
+        times = np.linspace(t[0] if t[-1] > t[0] else t[-1] - k + 1, t[-1], k)
+        # values are 0: no count depends on them
+        grid.append(replace(it, series=EventSeries(times, np.zeros((k, D)), np.ones((k, D)))))
+    ref = energy_estimate([(name, "ann", dense_counts(*row))
+                           for name, row in measure_spike_stats(model, grid)["ops"].items()], em)
     report["dense_reference_pj"] = ref["total_pj"]
     report["dense_over_event_ratio"] = (
         ref["total_pj"] / report["total_pj"] if report["total_pj"] > 0 else float("inf"))

@@ -17,7 +17,7 @@ from .downsample import pool_events
 from .encoder import EventBatch, EventSeries, SedSeEncoder, event_gaps, window_lengths
 from .errors import ConfigError, DataError
 from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, assert_finite, count_macs,
-                     linear, make_op, no_grad, parameter)
+                     linear, make_op, no_grad, parameter, scope)
 
 # Rows of one padded batch: event x variate slots (K_max * B * D) plus the
 # decoder's query rows. Training runs, evaluate and calibrate group windows
@@ -29,6 +29,10 @@ from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, assert_finite, 
 # decoder they hold about a third of its training tape (~1 KiB per query
 # against ~3 KiB per event slot).
 BATCH_ROWS = 2048
+
+# Fixed settings (ModelConfig fields in older checkpoints): spike threshold,
+# surrogate sharpness, time-embedding stamp scale in days, attention eps.
+V_TH, ALPHA_STE, TE_SPAN, ATTENTION_EPS = 1.0, 4.0, 90.0, 1e-6
 
 
 def batch_ranges(series: list[EventSeries], n_queries: list[int] | None = None,
@@ -61,11 +65,7 @@ class ModelConfig:
     blocks: int = 2
     pool_stride: int = 4
     tau_init: float = 2.0
-    v_th: float = 1.0
-    alpha_ste: float = 4.0
-    te_span: float = 90.0
     first_gap: str = "zero"
-    attention_eps: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -125,7 +125,8 @@ def query_mlp(a: Tensor, e: Tensor, rows: np.ndarray, cols: np.ndarray,
     h1 = np.maximum(a.data[rows] + e.data[cols], 0.0)
     h2 = np.maximum(h1 @ w2.data + b2.data, 0.0)
     out = h2 @ w3.data + b3.data
-    count_macs(h2.size * h1.shape[1] + out.size * h2.shape[1])
+    count_macs(h2.size * h1.shape[1] + out.size * h2.shape[1],
+               h1.size + w2.data.size + h2.size + w3.data.size, h2.size + out.size)
 
     def bwd(g):
         accumulate_grad(w3, h2.T @ g)
@@ -179,14 +180,14 @@ class SedFormer(Module):
         c = config
         self.encoder = SedSeEncoder(
             n_variates=c.n_variates, channels=c.conv_channels,
-            kernel_size=c.kernel_size, tau_init=c.tau_init, v_th=c.v_th,
-            alpha=c.alpha_ste, first_gap=c.first_gap, seed=c.seed)
+            kernel_size=c.kernel_size, tau_init=c.tau_init, v_th=V_TH,
+            alpha=ALPHA_STE, first_gap=c.first_gap, seed=c.seed)
         rng = np.random.default_rng(c.seed + 1)
         self.embed = parameter(
             rng.normal(0.0, 1.0 / np.sqrt(c.conv_channels), size=(c.conv_channels, c.dim)))
-        self.te = TimeEmbedding(c.dim, span=c.te_span)  # tokens and decoder queries
+        self.te = TimeEmbedding(c.dim, span=TE_SPAN)  # tokens and decoder queries
         self.blocks = [
-            Block(c.dim, c.heads, tau_init=c.tau_init, eps=c.attention_eps,
+            Block(c.dim, c.heads, tau_init=c.tau_init, eps=ATTENTION_EPS,
                   seed=c.seed + 10 + i)
             for i in range(c.blocks)
         ]
@@ -230,15 +231,19 @@ class SedFormer(Module):
         c = self.config
         if not isinstance(series, EventSeries):
             series = EventBatch.stack(list(series))
-        spikes, _ = self.encoder.encode(series, smooth=smooth)
-        pooled, mask_p, times_p = pool_events(spikes, series.mask, series.times,
-                                              c.pool_stride)
+        with scope("encoder"):
+            spikes, _ = self.encoder.encode(series, smooth=smooth)
+        with scope("embed"):
+            pooled, mask_p, times_p = pool_events(spikes, series.mask, series.times,
+                                                  c.pool_stride)
+            x = embed_tokens(pooled, times_p, self.embed, self.te)
         gaps_p = event_gaps(times_p, first_gap=c.first_gap)
         lengths = window_lengths(mask_p)
-        x = embed_tokens(pooled, times_p, self.embed, self.te)
-        for block in self.blocks:
-            x = block(x, gaps_p, lengths)
-        return aggregate_observed(x, mask_p)
+        for i, block in enumerate(self.blocks):
+            with scope(f"block{i}"):
+                x = block(x, gaps_p, lengths)
+        with scope("aggregate"):
+            return aggregate_observed(x, mask_p)
 
     def forward(self, series: EventSeries | list[EventSeries], query_times: list,
                 smooth: bool = False) -> list:
@@ -267,7 +272,8 @@ class SedFormer(Module):
         sizes = [q.size for q in qs]
         rows = np.repeat(np.arange(len(qs)), sizes)  # query -> its (window,) variate
         uniq, cols = np.unique(stamps, return_inverse=True)  # query -> its distinct stamp
-        y = self.decoder(z.reshape(-1, z.shape[-1]), self.te(uniq), rows, cols).reshape(-1)
+        with scope("decoder"):
+            y = self.decoder(z.reshape(-1, z.shape[-1]), self.te(uniq), rows, cols).reshape(-1)
         ends = np.cumsum(sizes)
         preds = [y[end - n:end] if n else None for n, end in zip(sizes, ends)]
         D = self.config.n_variates

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .tensor import Tensor, accumulate_grad, is_recording, make_op, sigmoid, softplus
+from .tensor import (Tensor, accumulate_grad, count_macs, count_spikes, is_recording, make_op,
+                     sigmoid, softplus)
 
 
 def heaviside(u: np.ndarray) -> np.ndarray:
@@ -91,10 +92,7 @@ def _eta_grad(dbeta_deta: np.ndarray, adj: np.ndarray, prev: np.ndarray,
     prev -= inp
     prev *= adj
     per_step = (dbeta_deta.reshape(K, W) * prev.reshape(K, W, -1).sum(axis=2)).sum(axis=1)
-    geta = 0.0
-    for term in per_step[::-1].tolist():
-        geta += term
-    return geta
+    return float(np.cumsum(per_step[::-1])[-1])  # in sequence; .sum() would add in pairs
 
 
 def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor,
@@ -123,6 +121,7 @@ def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor,
     for k in range(K):
         prev = m[k] = beta[k] * prev + drive[k]
     out = softplus(m) if squash == "softplus" else m
+    count_macs(2 * xv.size, xv.size, xv.size)  # beta * m and (1 - beta) * x per slot
 
     def bwd(g):
         gm = g * sigmoid(m) if squash == "softplus" else np.asarray(g, dtype=np.float64)
@@ -181,6 +180,8 @@ def ealif_spike_scan(current: Tensor, dt: np.ndarray, eta: Tensor,
         if record:
             v[k] = v_prev
     s = sigmoid(alpha * (m - v_th)) if smooth else heaviside(m - v_th)
+    count_macs(2 * I.size, I.size, I.size)  # beta * v and (1 - beta) * I per slot
+    count_spikes("spike_scan", s)
     if not record:
         return Tensor(s)
     psi = surrogate_grad(m - v_th, alpha)

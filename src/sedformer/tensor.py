@@ -11,10 +11,13 @@ elementwise arithmetic with numpy broadcasting, reductions, reshapes, axis
 permutation, slicing, the activation zoo, depthwise 1-D convolution, a
 linear map with per-channel affine maps folded in, and batch
 normalization. ``Module`` derives a model part's named state from
-its attributes.
+its attributes; ``mac_counter`` and ``scope`` count the ops' forward work
+per named model part.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -22,6 +25,8 @@ from .errors import ConfigError, NumericsError, ShapeError
 
 _GRAD_ENABLED = [True]
 _MAC_COUNTERS: list["mac_counter"] = []
+_SCOPE = [""]  # dotted name of the innermost open ``scope``
+_NO_SCOPE = contextlib.nullcontext()
 
 
 class no_grad:
@@ -37,14 +42,15 @@ class no_grad:
 
 
 class mac_counter:
-    """Counts multiply-accumulate work done by matmul/conv/elementwise-mul.
-
-    Used to assert the linear-in-sequence-length cost of the attention path.
-    Counts forward work only.
-    """
+    """Counts the forward work of the ops run while it is open: ``total``
+    MACs; ``ops`` maps each ``scope`` name ("" outside all) to [MACs, values
+    read (operands), values written (outputs)]; ``spikes`` maps a spiking
+    op's name to [event rows, spikes, slots] of its rasters (pads included)."""
 
     def __init__(self):
         self.total = 0
+        self.ops: dict[str, list] = {}
+        self.spikes: dict[str, list] = {}
 
     def __enter__(self):
         _MAC_COUNTERS.append(self)
@@ -55,11 +61,38 @@ class mac_counter:
         return False
 
 
-def count_macs(n: int) -> None:
-    """Bill ``n`` multiply-accumulates to every open ``mac_counter``."""
-    if _MAC_COUNTERS:
-        for c in _MAC_COUNTERS:
-            c.total += int(n)
+@contextlib.contextmanager
+def _named(name: str):
+    outer = _SCOPE[0]
+    _SCOPE[0] = f"{outer}.{name}" if outer else name
+    try:
+        yield
+    finally:
+        _SCOPE[0] = outer
+
+
+def scope(name: str):
+    """Context that bills the ops run inside it to ``name`` (``outer.name``
+    inside another scope); a shared no-op while no ``mac_counter`` is open."""
+    return _named(name) if _MAC_COUNTERS else _NO_SCOPE
+
+
+def _add(table: dict, key: str, counts: tuple) -> None:
+    table[key] = [a + b for a, b in zip(table.get(key, (0,) * len(counts)), counts)]
+
+
+def count_macs(n_mac: int, n_rd: int, n_wr: int) -> None:
+    """Bill ``n_mac`` multiply-accumulates that read ``n_rd`` values and
+    write ``n_wr`` to the current scope of every open ``mac_counter``."""
+    for c in _MAC_COUNTERS:
+        c.total += n_mac
+        _add(c.ops, _SCOPE[0], (n_mac, n_rd, n_wr))
+
+
+def count_spikes(name: str, s: np.ndarray) -> None:
+    """Record the K event rows, spikes and slots of raster ``s`` [K, ...] as ``name``."""
+    for c in _MAC_COUNTERS:
+        _add(c.spikes, name, (s.shape[0], float(s.sum()), s.size))
 
 
 class Tensor:
@@ -161,7 +194,7 @@ class Tensor:
     def __mul__(self, other):
         a, b = self, _coerce(other)
         out_data = a.data * b.data
-        count_macs(out_data.size)
+        count_macs(out_data.size, a.data.size + b.data.size, out_data.size)
 
         def bwd(g):
             if a.requires_grad:
@@ -208,7 +241,7 @@ class Tensor:
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
         out_data = a.data @ b.data
-        count_macs(out_data.size * a.shape[-1])
+        count_macs(out_data.size * a.shape[-1], a.data.size + b.data.size, out_data.size)
 
         def bwd(g):
             if a.requires_grad:
@@ -508,7 +541,7 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     out = np.zeros(x.shape + (C,))
     for j in range(k):
         out += kernels.data[:, :, j] * x_pad[j:j + K, ..., None]
-    count_macs(out.size * k)
+    count_macs(out.size * k, x.data.size + kernels.data.size, out.size)
     lead = tuple(range(x.ndim - 1))  # every axis but the variate axis
 
     def bwd(g):
@@ -557,7 +590,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None,
     out = x.data.reshape(-1, n) @ w_fold
     if shift is not None:
         out += shift
-    count_macs(out.size * n)
+    count_macs(out.size * n, x.data.size + wd.size, out.size)
     parents = (x, w) + ((bias,) if bias is not None else ()) + (pre or ()) + (post or ())
 
     def bwd(g):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .encoder import EventSeries
 from .errors import ConfigError, DataError, NumericsError
-from .model import BATCH_ROWS, ModelConfig, SedFormer, batch_ranges
+from .model import (ALPHA_STE, ATTENTION_EPS, BATCH_ROWS, TE_SPAN, V_TH, ModelConfig, SedFormer,
+                    batch_ranges)
 from .tensor import Tensor, accumulate_grad, assert_finite, make_op, no_grad
 
 
@@ -331,14 +332,16 @@ def load_checkpoint(path: str) -> SedFormer:
     if blob.get("version") != 1:
         raise ConfigError(f"unsupported checkpoint version: {blob.get('version')!r}")
     config = dict(blob["config"])
-    # retired ModelConfig fields from older checkpoints: the first two never
-    # change what a stored state predicts; a separate decoder time embedding
-    # no longer exists, so only the shared setting loads
+    # retired ModelConfig fields of older checkpoints: the first two never change a
+    # prediction; the rest load only at the value this version fixes
     config.pop("bn_momentum", None)
     config.pop("smooth_spikes", None)
-    if not config.pop("share_time_embedding", True):
-        raise ConfigError("checkpoint sets share_time_embedding=false; a separate "
-                          "decoder time embedding is no longer supported")
+    fixed = {"share_time_embedding": True, "v_th": V_TH, "alpha_ste": ALPHA_STE,
+             "te_span": TE_SPAN, "attention_eps": ATTENTION_EPS}
+    for name, value in fixed.items():
+        if config.pop(name, value) != value:
+            raise ConfigError(f"checkpoint sets {name}={blob['config'][name]!r}; this "
+                              f"version supports only {value!r}")
     model = SedFormer(ModelConfig.from_dict(config))
     params = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
               for k, v in blob["params"].items()}

@@ -267,8 +267,11 @@ INVALID_SETTINGS = [  # (command, flags, the setting the error must name)
     ("prepare", ["--days", "0"], "n_days"),
     ("prepare", ["--days", "-5"], "n_days"),
     ("prepare", ["--seed", "-2"], "seed"),
+    ("prepare", ["--days", "100"], "days"),
     ("viz", ["--seed", "-1"], "seed"),
     ("energy", ["--e-mac", "nan"], "e_mac"),
+    ("energy", ["--grid-steps", "0"], "grid_steps"),
+    ("energy", ["--grid-steps", "-3"], "grid_steps"),
     ("viz", ["--tau", "nan"], "tau"),
     ("viz", ["--v-th", "nan"], "v_th"),
     ("viz", ["--theta", "nan"], "delta_threshold"),

@@ -15,15 +15,18 @@ from sedformer import (
     mcar_sparsify,
 )
 from sedformer.data import synth_suite_panel
+from sedformer.encoder import EventSeries
 from sedformer.energy import (
     CONFIG_NOTE,
     OpCounts,
+    dense_counts,
     layer_energy,
     measure_spike_stats,
     model_energy_report,
     render_table,
 )
 from sedformer.errors import ConfigError
+from sedformer.tensor import Tensor, depthwise_conv1d, linear, mac_counter, no_grad
 
 
 def test_mac_energy_hand_value():
@@ -131,3 +134,60 @@ def test_spike_stats_and_table():
     assert "encoder.conv" in text and "decoder" in text
     assert "dense-grid reference" in text
     assert "note:" in text
+
+
+def _suite_model():
+    return SedFormer(ModelConfig(n_variates=4, dim=32, heads=4, blocks=2,
+                                 pool_stride=4, seed=0))
+
+
+def test_dense_counts_reproduce_the_layer_formulas():
+    rng = np.random.default_rng(0)
+    with mac_counter() as macs:
+        linear(Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(8, 3))))
+    assert dense_counts(*macs.ops[""]) == count_ann_layer(8, 3, 5)
+    K, D, C, k = 7, 2, 3, 5
+    with mac_counter() as macs:
+        depthwise_conv1d(Tensor(rng.normal(size=(K, D))), Tensor(rng.normal(size=(D, C, k))))
+    assert dense_counts(*macs.ops[""]) == OpCounts(
+        n_mac=K * D * C * k, n_add=K * D * C * (k - 1), n_rd=D * C * k + K * D, n_wr=K * D * C)
+
+
+def test_report_rows_are_the_forward_scopes():
+    """Each row's n_mac is its scope's MACs in a counter around the same
+    forward, and the rows add up to every MAC the forward ran."""
+    model = _suite_model()
+    item = _fixed_window_items(0.5)[0]
+    with mac_counter() as macs, no_grad():
+        model.forward(item.series, item.query_times)
+    rows = {r["layer"]: r for r in model_energy_report(model, [item])["layers"]}
+    assert list(rows) == ["encoder.conv", "encoder.dynamics", "embed", "block0.attention",
+                          "block0.ffn", "block1.attention", "block1.ffn", "aggregate", "decoder"]
+    assert {name: r["n_mac"] for name, r in rows.items()} == {
+        name: n_mac for name, (n_mac, _, _) in macs.ops.items()}
+    assert sum(r["n_mac"] for r in rows.values()) == macs.total
+    # the decoder's first layer runs once per summary and once per distinct stamp
+    d, D, Q = 32, 4, item.n_queries
+    U = np.unique(np.concatenate(item.query_times)).size
+    assert rows["decoder"]["n_mac"] == (D * d * 2 * d + U * d * 2 * d + U * d
+                                        + Q * (2 * d * 2 * d + 2 * d))
+
+
+def test_dense_reference_is_a_grid_forward():
+    """The reference bills, dense, a forward over regular-grid copies of
+    the windows that split grid_steps evenly and observe every variate."""
+    model = _suite_model()
+    items = _fixed_window_items(0.5)
+    em = EnergyModel()
+    for steps, split in ((None, (90, 90)), (51, (26, 25))):
+        with mac_counter() as macs, no_grad():
+            for it, k in zip(items, split):
+                t = it.series.times
+                grid = EventSeries(np.linspace(t[0], t[-1], k), np.zeros((k, 4)), np.ones((k, 4)))
+                model.forward(grid, it.query_times)
+        rows = [(name, "ann", dense_counts(*row)) for name, row in macs.ops.items()]
+        rep = model_energy_report(model, items, em, grid_steps=steps)
+        assert rep["dense_reference_pj"] == energy_estimate(rows, em)["total_pj"]
+    for steps in (0, 1, -3):
+        with pytest.raises(ConfigError, match="grid_steps"):
+            model_energy_report(model, items, em, grid_steps=steps)

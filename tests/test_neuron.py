@@ -4,8 +4,8 @@ import pytest
 from conftest import gradcheck
 from oracles import EaLifConfig, LifConfig, ealif_leak, ealif_step, lif_step
 from sedformer.errors import ConfigError, DataError
-from sedformer.neuron import (ealif_filter, ealif_spike_scan, eta_for_tau, heaviside,
-                              surrogate_grad, tau_from_eta)
+from sedformer.neuron import (_eta_grad, ealif_filter, ealif_spike_scan, eta_for_tau,
+                              heaviside, surrogate_grad, tau_from_eta)
 from sedformer.tensor import Tensor, parameter
 
 
@@ -17,6 +17,20 @@ def test_heaviside_fires_at_zero():
 def test_surrogate_grad_peak():
     # alpha * sigma(alpha u)(1 - sigma(alpha u)) at u=0 is alpha/4
     assert abs(float(surrogate_grad(np.array(0.0), 4.0)) - 1.0) < 1e-12
+
+
+def test_eta_grad_adds_the_steps_in_sequence():
+    """Bitwise equal to adding each step's term from the last step back."""
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        K, W, C = (int(n) for n in rng.integers(1, [400, 4, 4]))
+        dbeta = rng.normal(size=(K, W, 1)) * 10.0 ** rng.uniform(-20, 4, size=(K, W, 1))
+        adj, prev, inp = rng.normal(size=(3, K, W, C))
+        per_step = (dbeta[..., 0] * ((prev - inp) * adj).sum(axis=2)).sum(axis=1)
+        expected = 0.0
+        for term in per_step[::-1].tolist():
+            expected += term
+        assert _eta_grad(dbeta, adj, prev.copy(), inp) == expected
 
 
 def test_lif_step_hand_value():

@@ -5,7 +5,7 @@ from conftest import gradcheck
 from sedformer.errors import ConfigError, NumericsError, ShapeError
 from sedformer.tensor import (BatchNorm, Tensor, assert_finite, concat,
                               depthwise_conv1d, linear, mac_counter, no_grad, parameter,
-                              sigmoid, softplus)
+                              scope, sigmoid, softplus)
 
 
 def test_matmul_value():
@@ -255,6 +255,18 @@ def test_mac_counter_matmul():
     with mac_counter() as macs:
         Tensor(np.ones((2, 3, 4))) @ Tensor(np.ones((2, 4, 5)))
     assert macs.total == 2 * 3 * 4 * 5
+
+
+def test_scopes_name_the_counted_work():
+    with mac_counter() as macs:
+        with scope("a"):
+            Tensor(np.ones(3)) * 2.0
+            with scope("b"):
+                Tensor(np.ones((2, 4))) @ Tensor(np.ones((4, 5)))
+        Tensor(np.ones(2)) * Tensor(np.ones(2))
+    assert macs.ops == {"a": [3, 4, 3], "a.b": [40, 28, 10], "": [2, 4, 2]}
+    assert macs.total == 45
+    assert scope("a") is scope("b")  # no counter open: one shared no-op
 
 
 def test_no_grad_blocks_tape():

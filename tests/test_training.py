@@ -344,8 +344,8 @@ def test_property_checkpoint_roundtrip(tmp_path_factory, first_gap, data):
         n_variates=draw(st.integers(1, 3)), conv_channels=draw(st.integers(1, 3)),
         kernel_size=draw(st.sampled_from([1, 3, 5])), dim=heads * draw(st.integers(2, 4)),
         heads=heads, blocks=draw(st.integers(1, 2)), pool_stride=draw(st.integers(2, 5)),
-        tau_init=draw(st.floats(1.0, 4.0)), te_span=draw(st.floats(10.0, 200.0)),
-        first_gap=first_gap, seed=draw(st.integers(0, 2 ** 16)))
+        tau_init=draw(st.floats(1.0, 4.0)), first_gap=first_gap,
+        seed=draw(st.integers(0, 2 ** 16)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     s = cfg.pool_stride
     windows = [random_series(rng, n_events=k, n_variates=cfg.n_variates)
@@ -368,23 +368,29 @@ def test_property_checkpoint_roundtrip(tmp_path_factory, first_gap, data):
 
 
 def test_checkpoint_with_retired_config_fields(tmp_path, rng):
-    """Checkpoints written before three config fields were retired still load."""
+    """Checkpoints written before config fields were retired still load; a
+    retired field set away from the value this version fixes is refused."""
     model = SedFormer(small_config())
     item = make_item(rng)
     model.calibrate([item.series])
     path = tmp_path / "ckpt.json"
     save_checkpoint(str(path), model)
     blob = json.loads(path.read_text())
-    blob["config"].update(bn_momentum=0.1, smooth_spikes=True, share_time_embedding=True)
+    blob["config"].update(bn_momentum=0.1, smooth_spikes=True, share_time_embedding=True,
+                          v_th=1.0, alpha_ste=4.0, te_span=90.0, attention_eps=1e-6)
     path.write_text(json.dumps(blob))
     a = model.predict(item.series, item.query_times)
     b = load_checkpoint(str(path)).predict(item.series, item.query_times)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    blob["config"]["share_time_embedding"] = False
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ConfigError, match="share_time_embedding"):
-        load_checkpoint(str(path))
+    for name, value in (("share_time_embedding", False), ("v_th", 0.5), ("alpha_ste", 2.0),
+                        ("te_span", 30.0), ("attention_eps", 1e-3)):
+        stored = blob["config"][name]
+        blob["config"][name] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=name):
+            load_checkpoint(str(path))
+        blob["config"][name] = stored
     blob["config"].update(share_time_embedding=True, bogus=1)
     path.write_text(json.dumps(blob))
     with pytest.raises(ConfigError, match="bogus"):
