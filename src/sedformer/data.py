@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .encoder import EventSeries, align_events
 from .errors import ConfigError, DataError
@@ -203,6 +202,34 @@ def mad_smooth(series: np.ndarray, outlier_mult: float = 6.0, window: int = 5) -
     return x
 
 
+def _natural_cubic_spline(knots: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Evaluate at ``at`` the natural cubic spline through ``(knots, values)``.
+
+    ``knots`` is strictly increasing with at least three entries. The second
+    derivatives vanish at both ends; points beyond the ends extrapolate the
+    first or last cubic piece.
+    """
+    h = np.diff(knots)
+    slope = np.diff(values) / h
+    # interior second derivatives m[1:-1]: a diagonally dominant tridiagonal
+    # system, h[j] m[j] + 2 (h[j] + h[j+1]) m[j+1] + h[j+1] m[j+2] = 6 (slope[j+1] - slope[j]),
+    # solved by the Thomas algorithm
+    diag = 2.0 * (h[:-1] + h[1:])
+    rhs = 6.0 * np.diff(slope)
+    for j in range(1, diag.size):
+        w = h[j] / diag[j - 1]
+        diag[j] -= w * h[j]
+        rhs[j] -= w * rhs[j - 1]
+    m = np.zeros(knots.size)
+    m[-2] = rhs[-1] / diag[-1]
+    for j in range(diag.size - 2, -1, -1):
+        m[j + 1] = (rhs[j] - h[j + 1] * m[j + 2]) / diag[j]
+    seg = np.clip(np.searchsorted(knots, at) - 1, 0, h.size - 1)
+    t, hs, m0, m1 = at - knots[seg], h[seg], m[seg], m[seg + 1]
+    c1 = slope[seg] - hs * (2.0 * m0 + m1) / 6.0
+    return values[seg] + t * (c1 + t * (0.5 * m0 + t * (m1 - m0) / (6.0 * hs)))
+
+
 def spline_impute(series: np.ndarray) -> np.ndarray:
     """Fill remaining gaps with a natural cubic spline over known anchors.
 
@@ -218,8 +245,8 @@ def spline_impute(series: np.ndarray) -> np.ndarray:
     if known.size < 4:
         x[missing] = np.interp(missing, known, x[known])
         return x
-    spl = CubicSpline(known.astype(np.float64), x[known], bc_type="natural")
-    x[missing] = spl(missing.astype(np.float64))
+    x[missing] = _natural_cubic_spline(known.astype(np.float64), x[known],
+                                       missing.astype(np.float64))
     return x
 
 

@@ -179,6 +179,10 @@ def model_energy_report(model: SedFormer, items: list[WindowItem],
         raise ConfigError(f"grid_steps must give each of the {n} windows a step, got {grid_steps}")
     stats = measure_spike_stats(model, items)
     report = energy_estimate(count_model_layers(model, stats), em)
+    if report["total_pj"] == 0:
+        raise ConfigError("the event-driven total is 0 pJ, so it has no ratio to the dense "
+                          "reference: set a positive per-op energy among "
+                          + ", ".join(f"{k}={v:g}" for k, v in asdict(em).items()))
     report["firing"] = {k: v for k, v in stats.items() if k != "ops"}
     grid = []
     for i, it in enumerate(items):
@@ -189,8 +193,7 @@ def model_energy_report(model: SedFormer, items: list[WindowItem],
     ref = energy_estimate([(name, "ann", dense_counts(*row))
                            for name, row in measure_spike_stats(model, grid)["ops"].items()], em)
     report["dense_reference_pj"] = ref["total_pj"]
-    report["dense_over_event_ratio"] = (
-        ref["total_pj"] / report["total_pj"] if report["total_pj"] > 0 else float("inf"))
+    report["dense_over_event_ratio"] = ref["total_pj"] / report["total_pj"]
     return report
 
 

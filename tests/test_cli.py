@@ -4,10 +4,13 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sedformer
 from sedformer.cli import main
 
 TINY_TRAIN = ["--epochs", "1", "--dim", "8", "--heads", "2", "--blocks", "1", "--stride", "2",
@@ -90,6 +93,29 @@ def test_viz_artifacts(tmp_path, monkeypatch):
     for name in ("spikes.csv", "series.csv", "raster.svg"):
         assert (base / name).exists()
     assert (tmp_path / "art" / "config.json").exists()
+
+
+def test_runtime_loads_only_numpy_and_the_standard_library():
+    """``sedformer --help`` in a fresh interpreter imports no third-party
+    package besides numpy. Names the interpreter loaded before the import
+    (``site`` hooks of the environment) are not the package's doing."""
+    code = ("import json, sys\n"
+            "before = {name.split('.')[0] for name in sys.modules}\n"
+            "import sedformer, sedformer.cli\n"
+            "try:\n"
+            "    sedformer.cli.main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(json.dumps(sorted({name.split('.')[0] for name in sys.modules} - before)))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedformer.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert "sedformer" in loaded and "numpy" in loaded
+    foreign = [n for n in loaded if n not in sys.stdlib_module_names | {"numpy", "sedformer"}]
+    assert foreign == []
 
 
 def test_config_file_precedence(tmp_path):
@@ -272,6 +298,8 @@ INVALID_SETTINGS = [  # (command, flags, the setting the error must name)
     ("energy", ["--e-mac", "nan"], "e_mac"),
     ("energy", ["--grid-steps", "0"], "grid_steps"),
     ("energy", ["--grid-steps", "-3"], "grid_steps"),
+    ("energy", [a for op in ("mac", "add", "acc", "cmp", "rd", "wr") for a in (f"--e-{op}", "0")],
+     "e_mac=0"),
     ("viz", ["--tau", "nan"], "tau"),
     ("viz", ["--v-th", "nan"], "v_th"),
     ("viz", ["--theta", "nan"], "delta_threshold"),

@@ -96,6 +96,33 @@ def test_spline_impute_smooth_backstop():
     assert abs(out[4] - 16.0) < 1.0 and abs(out[5] - 25.0) < 1.5
 
 
+SPLINE_CASES = {  # name -> (series length in days, known days)
+    "uneven": (60, [0, 1, 4, 5, 6, 13, 14, 22, 31, 33, 40, 47, 52, 58, 59]),
+    "four_anchors": (20, [3, 4, 9, 16]),
+    "missing_ends": (50, [6, 7, 9, 15, 20, 24, 30, 31, 38, 41]),
+    "two_thousand_anchors": (3000, np.sort(np.random.default_rng(5).choice(
+        np.arange(1, 2999), 2000, replace=False))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLINE_CASES))
+def test_spline_impute_matches_scipy_natural_spline(case):
+    """The numpy spline is scipy's natural cubic spline, extrapolating its
+    end pieces beyond the first and last known day."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    length, known = SPLINE_CASES[case]
+    known = np.asarray(known)
+    series = np.full(length, np.nan)
+    series[known] = np.cumsum(np.random.default_rng(known.size).normal(scale=5.0, size=known.size))
+    missing = np.flatnonzero(np.isnan(series))
+    out = spline_impute(series)
+    ref = series.copy()
+    ref[missing] = interpolate.CubicSpline(known.astype(np.float64), series[known],
+                                           bc_type="natural")(missing.astype(np.float64))
+    assert np.array_equal(out[known], series[known])
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
 def test_clean_series_finite(rng):
     x = rng.normal(size=300)
     x[rng.uniform(size=300) < 0.4] = np.nan
