@@ -11,7 +11,7 @@ from .energy import EnergyModel, count_ann_layer, count_snn_layer, energy_estima
 from .errors import (ConfigError, DataError, NumericsError, SedformerError,
                      ShapeError)
 from .model import ModelConfig, SedFormer
-from .neuron import ealif_filter, ealif_spike_scan, tau_from_eta
+from .neuron import ealif_filter, ealif_spike_scan
 from .sweep import GRIDS, run_sweep
 from .tensor import BatchNorm, Tensor, mac_counter, no_grad
 from .training import (Adam, TrainConfig, evaluate, flat_metrics, load_checkpoint,
@@ -31,5 +31,5 @@ __all__ = [
     "make_windows", "mcar_sparsify", "no_grad", "pool_events", "pool_max",
     "pool_times", "prepare_corpus", "read_dataset", "run_sweep",
     "save_checkpoint", "split_windows", "synth_suite", "synth_viz_series",
-    "tau_from_eta", "train", "variate_balanced_mse", "write_dataset",
+    "train", "variate_balanced_mse", "write_dataset",
 ]

@@ -3,9 +3,8 @@
 Attention never materializes a step-by-step score matrix: filtered queries
 contact a single [d_h, d_h] key-value summary aggregated over every pooled
 step and variate, so cost grows linearly with the number of pooled events.
-Queries and keys pass through an event-driven low-pass filter with a
-softplus squash (nonnegative features); values use the same filter without
-the squash.
+Queries, keys and values pass through an event-driven low-pass filter;
+queries and keys then take a softplus squash (nonnegative features).
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .neuron import ealif_filter, eta_for_tau_init
-from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, concat, count_macs, linear,
-                     make_op, parameter, scope)
+from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, concat, count_macs, fold_map,
+                     fold_once, linear, make_op, parameter, scope, softplus)
 
 
 class TimeEmbedding(Module):
@@ -63,90 +62,79 @@ def embed_tokens(spikes: Tensor, times: np.ndarray, embed: Tensor,
     return tok + te(times).reshape(np.shape(times) + (1, te.dim))
 
 
-def linear_attention(phi_q: Tensor, phi_k: Tensor, vtil: Tensor, heads: int,
-                     real: np.ndarray | None = None, eps: float = 1e-6) -> Tensor:
+def linear_attention(qkv: Tensor, heads: int, real: np.ndarray | None = None,
+                     eps: float = 1e-6) -> Tensor:
     """Non-causal linear attention over every token of a window, as one op.
 
-    phi_q, phi_k, vtil: [K', B, D, dim] filtered queries, keys and values
-    (a lone window [K', D, dim] is a batch of one); ``real`` [B, K'*D] is 1
-    for a window's real tokens and 0 for its pads, or None if none has a
-    pad. The channels split into ``heads`` heads of d_h; per window and head,
-    over its N = K'*D tokens u,
+    qkv: [K', B, D, 3*dim], the filtered queries, keys and values side by
+    side (a lone window [K', D, 3*dim] is a batch of one); queries and keys
+    take the softplus squash here, phi_q = softplus(q), phi_k = softplus(k),
+    and values vtil = v stay as they are. ``real`` [B, K'*D] is 1 for a
+    window's real tokens and 0 for its pads, or None if none has a pad. The
+    channels split into ``heads`` heads of d_h; per window and head, over
+    its N = K'*D tokens u,
         KV    = sum_u phi_k[u]^T vtil[u]          [d_h, d_h]
         k_sum = sum_u phi_k[u]                    [d_h]
         y[u]  = (phi_q[u] KV) / (phi_q[u] k_sum + eps)
     with pads left out of both sums. Output [K', B, D, dim].
 
-    Beyond its inputs the op keeps only KV, k_sum and the denominator; the
-    backward is the factored gradient of Katharopoulos et al. 2020
-    (arXiv:2006.16236, sec. 3.3), again linear in N.
+    Beyond its input the op keeps phi_q, phi_k, KV, k_sum and the
+    denominator; the backward is the factored gradient of Katharopoulos et
+    al. 2020 (arXiv:2006.16236, sec. 3.3), again linear in N, times the
+    squash's derivative sigmoid(x) = 1 - exp(-softplus(x)).
     """
-    shape = phi_q.shape
+    shape = qkv.shape[:-1] + (qkv.shape[-1] // 3,)
     Kp, D, dim = shape[0], shape[-2], shape[-1]
     B, dh = math.prod(shape[1:-2]), dim // heads
     mask = None if real is None else real[:, None, :, None]
 
-    def split(a):  # [K', B, D, dim] -> [B, H, K'*D, d_h], each window's tokens contiguous
-        return a.reshape(Kp, B, D, heads, dh).transpose(1, 3, 0, 2, 4).reshape(B, heads, -1, dh)
+    def split(a):  # [K', B, D, H, d_h] -> [B, H, K'*D, d_h], each window's tokens contiguous
+        return a.transpose(1, 3, 0, 2, 4).reshape(B, heads, -1, dh)
 
     def merge(a):  # the inverse of split
-        return a.reshape(B, heads, Kp, D, dh).transpose(2, 0, 3, 1, 4).reshape(shape)
+        return a.reshape(B, heads, Kp, D, dh).transpose(2, 0, 3, 1, 4)
 
-    def keys():
-        k = split(phi_k.data)
-        return k if mask is None else k * mask
-
-    q, k, v = split(phi_q.data), keys(), split(vtil.data)
-    kv = k.swapaxes(-1, -2) @ v                     # [B, H, d_h, d_h]
-    k_sum = k.sum(axis=-2)[..., None]               # [B, H, d_h, 1]
-    den = q @ k_sum + eps                           # [B, H, N, 1]
-    out = merge((q @ kv) / den)
+    parts = qkv.data.reshape(Kp, B, D, 3, heads, dh)
+    q, k = softplus(split(parts[:, :, :, 0])), softplus(split(parts[:, :, :, 1]))
+    k_real = k if mask is None else k * mask
+    kv = k_real.swapaxes(-1, -2) @ split(parts[:, :, :, 2])  # [B, H, d_h, d_h]
+    k_sum = k_real.sum(axis=-2)[..., None]                   # [B, H, d_h, 1]
+    den = q @ k_sum + eps                                    # [B, H, N, 1]
+    out = merge((q @ kv) / den).reshape(shape)
     count_macs(2 * q.size * dh + q.size + (k.size if mask is not None else 0),
-               q.size + k.size + v.size, out.size)
+               3 * q.size, out.size)
 
     def bwd(g):
-        q = split(phi_q.data)
-        g_num = split(g) / den                                          # [B, H, N, d_h]
-        g_den = -(g_num * split(out)).sum(axis=-1, keepdims=True)       # y = num / den
-        if phi_q.requires_grad:
-            accumulate_grad(phi_q, merge(g_num @ kv.swapaxes(-1, -2)
-                                         + g_den * k_sum.swapaxes(-1, -2)))
-        g_kv = q.swapaxes(-1, -2) @ g_num                               # [B, H, d_h, d_h]
-        if phi_k.requires_grad:
-            g_k_sum = (q * g_den).sum(axis=-2, keepdims=True)           # [B, H, 1, d_h]
-            g_k = split(vtil.data) @ g_kv.swapaxes(-1, -2) + g_k_sum
-            accumulate_grad(phi_k, merge(g_k if mask is None else g_k * mask))
-        if vtil.requires_grad:
-            accumulate_grad(vtil, merge(keys() @ g_kv))
+        g_num = split(g.reshape(Kp, B, D, heads, dh)) / den                # [B, H, N, d_h]
+        g_den = -(g_num * split(out.reshape(Kp, B, D, heads, dh))).sum(axis=-1, keepdims=True)
+        g_q = g_num @ kv.swapaxes(-1, -2) + g_den * k_sum.swapaxes(-1, -2)
+        g_kv = q.swapaxes(-1, -2) @ g_num                                  # [B, H, d_h, d_h]
+        g_k_sum = (q * g_den).sum(axis=-2, keepdims=True)                  # [B, H, 1, d_h]
+        g_k = split(parts[:, :, :, 2]) @ g_kv.swapaxes(-1, -2) + g_k_sum
+        grad = np.empty(parts.shape)  # d softplus(x)/dx = 1 - e^-softplus(x) for q and k
+        grad[:, :, :, 0] = merge(g_q * -np.expm1(-q))
+        grad[:, :, :, 1] = merge((g_k if mask is None else g_k * mask) * -np.expm1(-k))
+        grad[:, :, :, 2] = merge((k if mask is None else k * mask) @ g_kv)
+        accumulate_grad(qkv, grad.reshape(qkv.shape))
 
-    return make_op(out, (phi_q, phi_k, vtil), bwd)
-
-
-def _fold_or_apply(norm: BatchNorm | None, x: Tensor, lengths):
-    """``(x, pre)`` for the linear map behind ``norm``: its frozen scale and
-    shift to fold in as ``pre``, or, while it accumulates moments (which
-    need its raw input), ``norm`` applied to x now and nothing to fold."""
-    if norm is None:
-        return x, None
-    if norm.accumulating:
-        return norm(x, lengths), None
-    return x, norm.scale_shift()
+    return make_op(out, (qkv,), bwd)
 
 
 class SedAttention(Module):
     """Multi-head spiking linear attention over the pooled event axis.
 
-    Project to queries/keys/values, batch-normalize, run the event-driven
-    filter (softplus squash on q/k, none on v), then the linear-attention
-    core (``linear_attention``; all heads in one batched product) and the
-    output projection. Sums run over all pooled steps and variates
-    (non-causal).
+    Project to queries/keys/values in one product, batch-normalize, run the
+    three event-driven filters in one scan, then the linear-attention core
+    (``linear_attention``: softplus squash on q/k, none on v; all heads in
+    one batched product) and the output projection. Sums run over all
+    pooled steps and variates (non-causal).
 
     A time-major batch x [K', B, D, d] with gaps [K', B] and ``lengths``
     (pooled steps per window, see ``window_lengths``) keeps every window's
     sums to its own tokens; pads are masked out of ``KV`` and ``k_sum``.
     ``norm`` is a normalizer in front of the block (``Block.bn1``); it and
-    bn_q/k/v fold into the projections (``tensor.linear``).
+    bn_q/k/v fold into the projections (``tensor.linear``), once for all
+    forwards that do not record (``tensor.fold_once``).
     """
 
     def __init__(self, dim: int, heads: int, tau_init: float = 2.0,
@@ -173,24 +161,21 @@ class SedAttention(Module):
                  norm: BatchNorm | None = None) -> Tensor:
         if x.shape[-1] != self.dim:
             raise ShapeError(f"attention built for dim {self.dim}, got {x.shape[-1]}")
-        x, pre = _fold_or_apply(norm, x, lengths)
-
-        def project(w, bn, eta, squash):
-            if bn.accumulating:
-                z = bn(linear(x, w, pre=pre), lengths)
-            else:
-                z = linear(x, w, pre=pre, post=bn.scale_shift())
-            return ealif_filter(z, gaps, eta, squash=squash)
-
-        phi_q = project(self.w_q, self.bn_q, self.eta_q, "softplus")
-        phi_k = project(self.w_k, self.bn_k, self.eta_k, "softplus")
-        vtil = project(self.w_v, self.bn_v, self.eta_v, None)
+        ws, bns = (self.w_q, self.w_k, self.w_v), (self.bn_q, self.bn_k, self.bn_v)
+        if any(bn.accumulating for bn in (norm, *bns) if bn is not None):
+            # the moments need each normalizer's raw input
+            x = x if norm is None else norm(x, lengths)
+            z = concat([bn(linear(x, w), lengths) for w, bn in zip(ws, bns)], axis=-1)
+        else:  # q, k and v from one product, every normalizer folded in
+            z = linear(x, *fold_once(self, (*ws, *bns, norm), lambda: fold_map(
+                concat(list(ws), axis=1), pre=None if norm is None else norm.scale_shift(),
+                post=tuple(concat(list(t)) for t in zip(*(bn.scale_shift() for bn in bns))))))
+        qkv = ealif_filter(z, gaps, (self.eta_q, self.eta_k, self.eta_v), squash=None)
         Kp, D = x.shape[0], x.shape[-2]
         real = None
         if lengths is not None and np.any(lengths < Kp):  # keep pads out of KV and k_sum
             real = np.repeat(np.arange(Kp) < lengths[:, None], D, axis=1).astype(np.float64)
-        y = linear_attention(phi_q, phi_k, vtil, self.heads, real, self.eps)
-        return linear(y, self.w_o)
+        return linear(linear_attention(qkv, self.heads, real, self.eps), self.w_o)
 
 
 class FeedForward(Module):
@@ -210,8 +195,12 @@ class FeedForward(Module):
 
     def __call__(self, x: Tensor, lengths: np.ndarray | None = None,
                  norm: BatchNorm | None = None) -> Tensor:
-        x, pre = _fold_or_apply(norm, x, lengths)
-        return linear(linear(x, self.w1, self.b1, pre=pre).relu(), self.w2, self.b2)
+        if norm is not None and norm.accumulating:  # its moments need the raw input
+            h = linear(norm(x, lengths), self.w1, self.b1)
+        else:
+            h = linear(x, *fold_once(self, (self.w1, self.b1, norm), lambda: fold_map(
+                self.w1, self.b1, pre=None if norm is None else norm.scale_shift())))
+        return linear(h.relu(), self.w2, self.b2)
 
 
 class Block(Module):

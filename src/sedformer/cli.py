@@ -122,6 +122,10 @@ def cmd_prepare(args) -> int:
     out = _out_dir(args.out_dir)
     if bool(r["corpus"]) == bool(r["synthetic"]):
         raise ConfigError("choose exactly one of --corpus PATH or --synthetic")
+    # checked in both modes, since config.json records the cleaning settings either way
+    clean_cfg = data_mod.CleanConfig(window=int(r["mad_window"]), gap_cap=int(r["gap_cap"]),
+                                     outlier_mult=float(r["outlier_mult"]),
+                                     rate=float(r["rate"]), seed=int(r["seed"]))
     if r["synthetic"]:
         cfg = data_mod.SuiteConfig(n_series=int(r["series"]),
                                    n_variates=int(r["synth_variates"]),
@@ -140,10 +144,6 @@ def cmd_prepare(args) -> int:
     else:
         if not os.path.exists(r["corpus"]):
             raise DataError(f"corpus not found: {r['corpus']}")
-        clean_cfg = data_mod.CleanConfig(window=int(r["mad_window"]),
-                                         gap_cap=int(r["gap_cap"]),
-                                         outlier_mult=float(r["outlier_mult"]),
-                                         rate=float(r["rate"]), seed=int(r["seed"]))
         n_var = int(r["variates"]) if r["variates"] is not None else None
         splits, meta = data_mod.prepare_corpus(r["corpus"], clean_cfg,
                                                n_variates=n_var,

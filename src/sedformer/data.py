@@ -48,8 +48,8 @@ class CleanConfig:
             raise ConfigError(f"local-median window must be odd and >= 3, got {self.window}")
         if self.gap_cap < 1:
             raise ConfigError(f"gap cap must be >= 1, got {self.gap_cap}")
-        if self.outlier_mult <= 0:
-            raise ConfigError(f"outlier multiplier must be positive, got {self.outlier_mult}")
+        if not (np.isfinite(self.outlier_mult) and self.outlier_mult > 0):
+            raise ConfigError(f"outlier_mult must be finite and positive, got {self.outlier_mult}")
         if not (0.0 <= self.rate <= 1.0):
             raise ConfigError(f"sparsifying rate must lie in [0, 1], got {self.rate}")
         if self.seed < 0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .neuron import ealif_spike_scan, eta_for_tau_init
-from .tensor import BatchNorm, Module, Tensor, depthwise_conv1d, parameter, scope
+from .tensor import BatchNorm, Module, Tensor, depthwise_conv1d, fold_once, parameter, scope
 
 
 @dataclass
@@ -225,7 +225,7 @@ class SedSeEncoder(Module):
                 x_loc = self.bn(depthwise_conv1d(observed, self.kernels),
                                 window_lengths(series.mask))
             else:  # the frozen map folds into the kernels (scale per channel) plus a shift
-                scale, shift = self.bn.scale_shift()
+                scale, shift = fold_once(self, (self.bn,), self.bn.scale_shift)
                 x_loc = depthwise_conv1d(observed, self.kernels * scale.reshape(-1, 1)) + shift
         gaps = event_gaps(series.times, first_gap=self.first_gap)
         with scope("dynamics"):

@@ -16,8 +16,9 @@ from .backbone import Block, TimeEmbedding, aggregate_observed, embed_tokens
 from .downsample import pool_events
 from .encoder import EventBatch, EventSeries, SedSeEncoder, event_gaps, window_lengths
 from .errors import ConfigError, DataError
+from .neuron import TAU_MAX
 from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, assert_finite, count_macs,
-                     linear, make_op, no_grad, parameter, scope)
+                     fold_once, linear, make_op, no_grad, parameter, scope, stats_written)
 
 # Rows of one padded batch: event x variate slots (K_max * B * D) plus the
 # decoder's query rows. Training runs, evaluate and calibrate group windows
@@ -79,8 +80,8 @@ class ModelConfig:
             raise ConfigError("need at least one block")
         if self.pool_stride < 1:
             raise ConfigError("pool stride must be >= 1")
-        if not (np.isfinite(self.tau_init) and self.tau_init >= 1.0):
-            raise ConfigError(f"tau_init must be finite and >= 1, got {self.tau_init}")
+        if not 1.0 <= self.tau_init <= TAU_MAX:  # its eta overflows past TAU_MAX
+            raise ConfigError(f"tau_init must lie in [1, {TAU_MAX!r}], got {self.tau_init}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -167,8 +168,9 @@ class Decoder(Module):
         """z: [R, d] summaries; te: [U, d] stamp embeddings; query i decodes
         (z[rows[i]], te[cols[i]]). Output [Q, 1]."""
         d = z.shape[-1]
-        a = linear(z, self.w1[:d])
-        e = linear(te, self.w1[d:], self.b1)
+        w1_z, w1_t = fold_once(self, (self.w1,), lambda: (self.w1[:d], self.w1[d:]))
+        a = linear(z, w1_z)
+        e = linear(te, w1_t, self.b1)
         return query_mlp(a, e, rows, cols, self.w2, self.b2, self.w3, self.b3)
 
 
@@ -315,3 +317,4 @@ class SedFormer(Module):
             if arr.shape != b.shape:
                 raise ConfigError(f"shape mismatch for buffer {name}")
             b[...] = arr
+        stats_written()

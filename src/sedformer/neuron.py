@@ -33,15 +33,14 @@ def surrogate_grad(u: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * s * (1.0 - s)
 
 
-def tau_from_eta(eta: Tensor) -> Tensor:
-    """Membrane time constant tau = softplus(eta) + 1; always > 1."""
-    return eta.softplus() + 1.0
+# The largest tau whose eta = log(expm1(tau - 1)) is finite.
+TAU_MAX = 1.0 + float(np.log(np.finfo(np.float64).max))
 
 
 def eta_for_tau(tau: float) -> float:
-    """Inverse of tau_from_eta, for initialization."""
-    if tau <= 1.0:
-        raise ConfigError(f"tau must exceed 1, got {tau}")
+    """eta with softplus(eta) + 1 = tau, for initialization; ``tau`` in (1, TAU_MAX]."""
+    if not 1.0 < tau <= TAU_MAX:
+        raise ConfigError(f"tau must lie in (1, {TAU_MAX!r}], got {tau}")
     return float(np.log(np.expm1(tau - 1.0)))
 
 
@@ -54,48 +53,52 @@ def eta_for_tau_init(tau: float) -> float:
     return eta_for_tau(max(float(tau), 1.0 + 1e-9))
 
 
-def _beta_and_chain(dt: np.ndarray, eta_data: float,
-                    ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """beta and d(beta)/d(eta) for the scalar eta of one scan.
+def _beta_and_chain(dt: np.ndarray, etas: tuple[Tensor, ...], ndim: int,
+                    record: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """beta and, if ``record``, d(beta)/d(eta) for the scalar etas of one scan.
 
     Both come shaped to broadcast against an ``ndim``-dimensional state
-    sequence: [K] gaps give [K, 1, ...], [K, B] gaps give [K, B, 1, ...].
+    sequence: [K] gaps give [K, 1, ...], [K, B] gaps give [K, B, 1, ...],
+    and E > 1 etas [..., E, 1], one per filter of the stack.
     """
-    tau = float(softplus(eta_data) + 1.0)
-    beta = np.exp(-dt / tau)
+    taus = np.array([float(softplus(float(e.data)) + 1.0) for e in etas])
+    stack = (len(etas), 1) if len(etas) > 1 else ()
+    shape = dt.shape + (1,) * (ndim - dt.ndim - len(stack)) + stack
+    beta = np.exp(-dt[..., None] / taus)  # dt.shape + (E,)
+    if not record:
+        return beta.reshape(shape), None
     # d beta / d tau = beta * dt / tau^2; d tau / d eta = sigmoid(eta)
-    dbeta_deta = beta * dt / (tau * tau) * float(sigmoid(eta_data))
-    shape = dt.shape + (1,) * (ndim - dt.ndim)
+    sig = np.array([float(sigmoid(float(e.data))) for e in etas])
+    dbeta_deta = beta * dt[..., None] / (taus * taus) * sig
     return beta.reshape(shape), dbeta_deta.reshape(shape)
 
 
-def _check_scan_args(x: Tensor, dt: np.ndarray, eta: Tensor) -> np.ndarray:
-    if eta.size != 1:
-        raise ShapeError("scan kernels take a scalar eta per call")
+def _check_scan_args(x: Tensor, dt: np.ndarray, etas: tuple[Tensor, ...]) -> np.ndarray:
+    if any(e.size != 1 for e in etas):
+        raise ShapeError("scan kernels take a scalar eta per filter")
     dt = np.asarray(dt, dtype=np.float64)
     if dt.ndim not in (1, 2) or dt.shape != x.shape[:dt.ndim]:
         raise ShapeError(f"dt must have shape ({x.shape[0]},) or {x.shape[:2]}, got {dt.shape}")
+    if len(etas) > 1 and (x.ndim <= dt.ndim or x.shape[-1] % len(etas)):
+        raise ShapeError(f"{len(etas)} stacked filters need a last axis of {len(etas)} "
+                         f"equal blocks, got {x.shape}")
     if np.any(dt < 0):
         raise DataError("event gaps must be nonnegative")
     return dt
 
 
-def _eta_grad(dbeta_deta: np.ndarray, adj: np.ndarray, prev: np.ndarray,
-              inp: np.ndarray) -> float:
-    """sum_k dbeta_k/deta * sum(adj_k * (prev_k - inp_k)), added up from
-    k = K-1 down to 0 as the reverse recurrence visits the steps.
+def _eta_grad(dbeta_deta: np.ndarray, terms: np.ndarray) -> float:
+    """sum_k dbeta_k/deta * sum(terms_k), with terms_k = adj_k * (prev_k - inp_k),
+    added up from k = K-1 down to 0 as the reverse recurrence visits the steps.
 
-    With [K, B] gaps each window's sum takes its own dbeta. ``prev`` is
-    overwritten.
+    With [K, B] gaps each window's sum takes its own dbeta.
     """
-    K, W = adj.shape[0], dbeta_deta[0].size  # W windows (1 for [K] gaps)
-    prev -= inp
-    prev *= adj
-    per_step = (dbeta_deta.reshape(K, W) * prev.reshape(K, W, -1).sum(axis=2)).sum(axis=1)
+    K, W = terms.shape[0], dbeta_deta[0].size  # W windows (1 for [K] gaps)
+    per_step = (dbeta_deta.reshape(K, W) * terms.reshape(K, W, -1).sum(axis=2)).sum(axis=1)
     return float(np.cumsum(per_step[::-1])[-1])  # in sequence; .sum() would add in pairs
 
 
-def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor,
+def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor | tuple[Tensor, ...],
                  squash: str | None = "softplus") -> Tensor:
     """Event-driven low-pass filter without threshold or reset.
 
@@ -106,15 +109,20 @@ def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor,
     parameter. The carried state is m itself (no reset on continuous
     features).
 
+    A tuple of E etas runs E filters in one scan over x as [K, ..., E, n]
+    (the last axis holds E equal blocks); each block's output and gradients
+    are those of its filter run alone.
+
     Backward is hand-derived: the adjoint runs the recurrence in reverse,
     so memory stays O(state) rather than O(K * state) tape nodes.
     """
-    dt = _check_scan_args(x, dt, eta)
+    etas = (eta,) if isinstance(eta, Tensor) else tuple(eta)
+    dt = _check_scan_args(x, dt, etas)
     if squash not in (None, "softplus"):
         raise ConfigError(f"unsupported squash: {squash!r}")
-    K = x.shape[0]
-    xv = x.data
-    beta, dbeta_deta = _beta_and_chain(dt, float(eta.data), xv.ndim)
+    K, E = x.shape[0], len(etas)
+    xv = x.data if E == 1 else x.data.reshape(x.shape[:-1] + (E, -1))
+    beta, dbeta_deta = _beta_and_chain(dt, etas, xv.ndim, is_recording(x, *etas))
     drive = (1.0 - beta) * xv  # (1 - beta_k) * x_k for every step at once
     m = np.empty_like(xv)
     prev = np.zeros(xv.shape[1:])
@@ -124,19 +132,23 @@ def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor,
     count_macs(2 * xv.size, xv.size, xv.size)  # beta * m and (1 - beta) * x per slot
 
     def bwd(g):
-        gm = g * sigmoid(m) if squash == "softplus" else np.asarray(g, dtype=np.float64)
+        g = g.reshape(m.shape)
+        gm = g * sigmoid(m) if squash == "softplus" else g
         total = np.empty_like(xv)  # adjoint of m_k
         carry = np.zeros(xv.shape[1:])
         for k in range(K - 1, -1, -1):
             total[k] = t_k = gm[k] + carry
             carry = beta[k] * t_k
-        m_prev = np.empty_like(xv)
-        m_prev[0] = 0.0
-        m_prev[1:] = m[:-1]
-        accumulate_grad(x, (1.0 - beta) * total)
-        accumulate_grad(eta, np.full_like(eta.data, _eta_grad(dbeta_deta, total, m_prev, xv)))
+        terms = np.empty_like(xv)  # (m_{k-1} - x_k) * total_k
+        terms[0] = 0.0 - xv[0]
+        np.subtract(m[:-1], xv[1:], out=terms[1:])
+        terms *= total
+        accumulate_grad(x, ((1.0 - beta) * total).reshape(x.shape))
+        for e, eta_e in enumerate(etas):
+            at = (..., e, slice(None)) if E > 1 else ...  # filter e's block
+            accumulate_grad(eta_e, np.full_like(eta_e.data, _eta_grad(dbeta_deta[at], terms[at])))
 
-    return make_op(out, (x, eta), bwd)
+    return make_op(out.reshape(x.shape), (x, *etas), bwd)
 
 
 def ealif_spike_scan(current: Tensor, dt: np.ndarray, eta: Tensor,
@@ -159,15 +171,15 @@ def ealif_spike_scan(current: Tensor, dt: np.ndarray, eta: Tensor,
         dbeta_k = sum(Gm_k * (v_{k-1} - I_k))
         Gv_{k-1} = beta_k * Gm_k
     """
-    dt = _check_scan_args(current, dt, eta)
+    dt = _check_scan_args(current, dt, (eta,))
     if v_th <= 0:
         raise ConfigError(f"threshold must be positive, got {v_th}")
     K = current.shape[0]
     I = current.data
     tail = I.shape[1:]
-    beta, dbeta_deta = _beta_and_chain(dt, float(eta.data), I.ndim)
-    drive = (1.0 - beta) * I  # (1 - beta_k) * I_k for every step at once
     record = is_recording(current, eta)
+    beta, dbeta_deta = _beta_and_chain(dt, (eta,), I.ndim, record)
+    drive = (1.0 - beta) * I  # (1 - beta_k) * I_k for every step at once
     m = np.empty_like(I)
     v = np.empty_like(I) if record else None  # post-reset states, for the backward
     v_prev = np.zeros(tail)
@@ -194,10 +206,11 @@ def ealif_spike_scan(current: Tensor, dt: np.ndarray, eta: Tensor,
         for k in range(K - 1, -1, -1):
             Gm[k] = gm_k = g_psi[k] + Gv * keep[k]
             Gv = beta[k] * gm_k
-        v_prev = np.empty_like(I)
-        v_prev[0] = 0.0
-        v_prev[1:] = v[:-1]
+        terms = np.empty_like(I)  # (v_{k-1} - I_k) * Gm_k
+        terms[0] = 0.0 - I[0]
+        np.subtract(v[:-1], I[1:], out=terms[1:])
+        terms *= Gm
         accumulate_grad(current, (1.0 - beta) * Gm)
-        accumulate_grad(eta, np.full_like(eta.data, _eta_grad(dbeta_deta, Gm, v_prev, I)))
+        accumulate_grad(eta, np.full_like(eta.data, _eta_grad(dbeta_deta, terms)))
 
     return make_op(s, (current, eta), bwd)

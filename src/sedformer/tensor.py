@@ -9,10 +9,11 @@ frees the recorded graph as it goes).
 Only what the model needs is implemented: matmul (2-D or batched),
 elementwise arithmetic with numpy broadcasting, reductions, reshapes, axis
 permutation, slicing, the activation zoo, depthwise 1-D convolution, a
-linear map with per-channel affine maps folded in, and batch
-normalization. ``Module`` derives a model part's named state from
-its attributes; ``mac_counter`` and ``scope`` count the ops' forward work
-per named model part.
+linear map with per-channel affine maps folded in (``fold_once`` keeps the
+folds between forwards that do not record), and batch normalization.
+``Module`` derives a model part's named state from its attributes;
+``mac_counter`` and ``scope`` count the ops' forward work per named model
+part.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import ConfigError, NumericsError, ShapeError
 _GRAD_ENABLED = [True]
 _MAC_COUNTERS: list["mac_counter"] = []
 _SCOPE = [""]  # dotted name of the innermost open ``scope``
+_STATS_WRITES = [0]  # in-place writes of normalizer statistics so far
 _NO_SCOPE = contextlib.nullcontext()
 
 
@@ -537,7 +539,8 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     if k % 2 == 0:
         raise ConfigError(f"kernel size must be odd, got {k}")
     r = (k - 1) // 2
-    x_pad = np.pad(x.data, ((r, r),) + ((0, 0),) * (x.ndim - 1))
+    x_pad = np.zeros((K + 2 * r,) + x.shape[1:])
+    x_pad[r:r + K] = x.data
     out = np.zeros(x.shape + (C,))
     for j in range(k):
         out += kernels.data[:, :, j] * x_pad[j:j + K, ..., None]
@@ -579,14 +582,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None,
     wd = w.data
     a, c = (t.data for t in pre) if pre else (None, None)
     p, r = (t.data for t in post) if post else (None, None)
-    w_fold, cb = wd, None if bias is None else bias.data  # cb: the shift before p
-    if pre:
-        w_fold = a[:, None] * wd
-        cb = c @ wd if cb is None else c @ wd + cb
-    shift = cb
-    if post:
-        w_fold = w_fold * p
-        shift = r if cb is None else cb * p + r
+    w_fold, cb, shift = _fold(w, bias, pre, post)
     out = x.data.reshape(-1, n) @ w_fold
     if shift is not None:
         out += shift
@@ -617,6 +613,50 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None,
             _accum(post[1], gs)
 
     return _op(out.reshape(x.shape[:-1] + (m,)), parents, bwd)
+
+
+def _fold(w: Tensor, bias, pre, post) -> tuple:
+    """``linear``'s folded weight and shifts as arrays: (w', cb, b'), cb before p."""
+    w_fold, cb = w.data, None if bias is None else bias.data
+    if pre:
+        a, c = (t.data for t in pre)
+        w_fold, cb = a[:, None] * w.data, c @ w.data if cb is None else c @ w.data + cb
+    shift = cb
+    if post:
+        p, r = (t.data for t in post)
+        w_fold, shift = w_fold * p, r if cb is None else cb * p + r
+    return w_fold, cb, shift
+
+
+def fold_map(w: Tensor, bias: Tensor | None = None, pre=None, post=None) -> tuple:
+    """``linear``'s arguments after x: as given while one records, else one
+    constant weight and shift with ``pre`` and ``post`` folded in."""
+    if is_recording(*(t for t in (w, bias, *(pre or ()), *(post or ())) if t is not None)):
+        return w, bias, pre, post
+    w_fold, _, shift = _fold(w, bias, pre, post)
+    return Tensor(w_fold), None if shift is None else Tensor(shift), None, None
+
+
+def stats_written() -> None:
+    """Note an in-place write of normalizer statistics (see ``fold_once``)."""
+    _STATS_WRITES[0] += 1
+
+
+def fold_once(owner, sources: tuple, fold):
+    """``fold()``: what ``owner`` folds from ``sources`` (Tensors; a BatchNorm
+    stands for its gamma and beta; None is skipped). A recording forward
+    folds on the tape every call; any other keeps the value on ``owner``
+    while every source array is the same object (``Adam.step``, ``load_state``
+    and ``p.data = ...`` rebind) and no statistics were written."""
+    tensors = [t for s in sources if s is not None
+               for t in ((s.gamma, s.beta) if isinstance(s, BatchNorm) else (s,))]
+    if is_recording(*tensors):
+        return fold()
+    key = (_STATS_WRITES[0], *(t.data for t in tensors))
+    kept = vars(owner).get("_folded")
+    if kept is None or len(kept[0]) != len(key) or any(a is not b for a, b in zip(kept[0], key)):
+        kept = owner._folded = (key, fold())
+    return kept[1]
 
 
 class Module:
@@ -668,8 +708,8 @@ class BatchNorm(Module):
     Every call applies ``running_mean``/``running_var`` and is deterministic.
     The statistics change only through ``start_accumulation``/
     ``stop_accumulation`` (exact pooled moments over many calls) or by
-    writing into the arrays in place (``SedFormer.load_state``); there is
-    no per-batch mode.
+    writing into the arrays in place (``SedFormer.load_state``); each such
+    write calls ``stats_written``. There is no per-batch mode.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5):
@@ -699,6 +739,7 @@ class BatchNorm(Module):
         mean = s / n
         self.running_mean[...] = mean
         self.running_var[...] = np.maximum(sq / n - mean * mean, 0.0)
+        stats_written()
 
     def __call__(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
         """Normalize ``x`` [..., C] with the stored statistics, op by op.

@@ -328,7 +328,12 @@ def save_checkpoint(path: str, model: SedFormer) -> None:
 
 def load_checkpoint(path: str) -> SedFormer:
     with open(path) as f:
-        blob = json.load(f)
+        try:
+            blob = json.load(f)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"checkpoint {path}: not valid JSON: {e}") from None
+    if not isinstance(blob, dict):
+        raise ConfigError(f"checkpoint {path}: expected a JSON object, got {type(blob).__name__}")
     if blob.get("version") != 1:
         raise ConfigError(f"unsupported checkpoint version: {blob.get('version')!r}")
     config = dict(blob["config"])

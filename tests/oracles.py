@@ -10,7 +10,8 @@ gradients against it:
   ``[summary, time embedding]`` query rows, three ``linear`` layers.
 - ``lif_step`` / ``ealif_step`` (with ``LifConfig`` / ``EaLifConfig``):
   one neuron update per call, the reference for the event-driven scans and
-  for criterion 2.
+  for criterion 2; ``tau_from_eta`` is their tau = softplus(eta) + 1, which
+  the scans compute on raw arrays (``neuron._beta_and_chain``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 from sedformer.backbone import SedAttention
 from sedformer.errors import ConfigError, DataError
 from sedformer.model import Decoder
-from sedformer.neuron import (ealif_filter, eta_for_tau, heaviside, surrogate_grad,
-                              tau_from_eta)
+from sedformer.neuron import ealif_filter, eta_for_tau, heaviside, surrogate_grad
 from sedformer.tensor import (BatchNorm, Tensor, accumulate_grad, concat, linear, make_op,
                               parameter, sigmoid)
 
@@ -143,6 +143,11 @@ def lif_step(v_prev: Tensor, x: Tensor, cfg: LifConfig,
     s = spike(m - cfg.v_th, alpha=cfg.alpha_ste, smooth=smooth)
     v = m - s * cfg.v_th
     return m, s, v
+
+
+def tau_from_eta(eta: Tensor) -> Tensor:
+    """Membrane time constant tau = softplus(eta) + 1 as tape ops; always > 1."""
+    return eta.softplus() + 1.0
 
 
 def ealif_leak(dt, eta: Tensor) -> Tensor:

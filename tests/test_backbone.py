@@ -139,16 +139,14 @@ def test_linear_attention_gradcheck_with_pads():
     rng = np.random.default_rng(4)
     Kp, B, D, heads, dh = 3, 2, 2, 2, 2
     real = np.repeat(np.arange(Kp) < np.array([3, 2])[:, None], D, axis=1).astype(float)
-    phi_q, phi_k = (parameter(rng.uniform(0.1, 2.0, size=(Kp, B, D, heads * dh)))
-                    for _ in range(2))
-    vtil = parameter(rng.normal(size=(Kp, B, D, heads * dh)))
+    phi_q, phi_k = (rng.uniform(0.1, 2.0, size=(Kp, B, D, heads * dh)) for _ in range(2))
+    vtil = rng.normal(size=(Kp, B, D, heads * dh))
+    qkv = parameter(np.concatenate([phi_q, phi_k, vtil], axis=-1))  # [K', B, D, 3 * dim]
     w = rng.normal(size=(Kp, B, D, heads * dh))
-    gradcheck(lambda: (linear_attention(phi_q, phi_k, vtil, heads, real) * Tensor(w)).sum(),
-              [phi_q, phi_k, vtil])
-    # a lone window [K', D, dim] is a batch of one
-    q1, k1, v1 = (Tensor(t.data[:, 0]) for t in (phi_q, phi_k, vtil))
-    lone = linear_attention(q1, k1, v1, heads).data
-    batched = linear_attention(phi_q, phi_k, vtil, heads, real).data[:, 0]
+    gradcheck(lambda: (linear_attention(qkv, heads, real) * Tensor(w)).sum(), [qkv])
+    # a lone window [K', D, 3 * dim] is a batch of one
+    lone = linear_attention(Tensor(qkv.data[:, 0]), heads).data
+    batched = linear_attention(qkv, heads, real).data[:, 0]
     assert lone.shape == (Kp, D, heads * dh)
     assert np.array_equal(lone, batched)
 

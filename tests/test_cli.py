@@ -306,6 +306,9 @@ INVALID_SETTINGS = [  # (command, flags, the setting the error must name)
     ("viz", ["--tau-c", "nan"], "conv_threshold"),
     ("viz", ["--gamma", "nan"], "gamma"),
     ("viz", ["--noise-std", "nan"], "noise_std"),
+    ("train", ["--tau", "1e300"], "tau_init"),
+    ("prepare", ["--outlier-mult", "nan"], "outlier_mult"),
+    ("eval", ["--checkpoint", "{data}/train.csv"], "checkpoint"),
 ]
 
 
@@ -317,7 +320,9 @@ def test_invalid_setting_exits_2(tmp_path, workdir, capsys, command, flags, fiel
     inputs = {"prepare": ["--synthetic", "--series", "2"],
               "train": ["--data", workdir["data"], *TINY_TRAIN],
               "energy": ["--data", workdir["data"], "--checkpoint", workdir["ckpt"]],
+              "eval": ["--data", workdir["data"]],
               "viz": []}[command]
+    flags = [f.format(**workdir) for f in flags]  # "{data}": the prepared dataset
     out = tmp_path / "out"
     assert main([command, *inputs, *flags, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err

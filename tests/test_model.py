@@ -8,7 +8,7 @@ from sedformer.energy import model_energy_report
 from sedformer.errors import ConfigError, DataError
 from sedformer.model import ModelConfig, SedFormer, query_mlp
 from sedformer.tensor import BatchNorm, Tensor, concat, parameter
-from sedformer.training import WindowItem, variate_balanced_mse
+from sedformer.training import Adam, WindowItem, variate_balanced_mse
 
 
 def small_config(**kw):
@@ -326,3 +326,62 @@ def test_folded_normalizers_match_unfolded_forward(rng, monkeypatch):
     scale = max(np.max(np.abs(g)) for g in unfolded_grads.values())
     for k, g in unfolded_grads.items():
         assert np.max(np.abs(folded_grads[k] - g)) <= 1e-12 * scale, k
+
+
+# -- folds kept between forwards that do not record -----------------------------------
+
+
+def _fold_cache_case(rng):
+    """A calibrated two-block model with non-identity normalizers, a window,
+    its queries and one prediction, which fills every module's fold."""
+    model = SedFormer(small_config(blocks=2))
+    series = random_series(rng, n_events=16)
+    model.calibrate([series])
+    for bn in model.batch_norms():
+        bn.gamma.data = rng.normal(1.0, 0.3, size=bn.channels)
+        bn.beta.data = rng.normal(0.0, 0.3, size=bn.channels)
+    q = [np.array([95.0, 101.0]), np.array([92.0]), np.array([99.0])]
+    return model, series, q, model.predict(series, q)
+
+
+def _cold_predict(model, series, q):
+    """``predict`` of a model built afresh from ``model``'s state, so no fold is kept."""
+    twin = SedFormer(model.config)
+    twin.load_state({k: p.data for k, p in model.parameters().items()}, model.buffers())
+    return twin.predict(series, q)
+
+
+def _assert_refolded(model, series, q, before):
+    got = model.predict(series, q)
+    assert all(np.array_equal(a, b) for a, b in zip(got, _cold_predict(model, series, q)))
+    assert not all(np.array_equal(a, b) for a, b in zip(got, before))  # the change shows
+
+
+def test_folds_rebuilt_after_adam_step(rng):
+    model, series, q, before = _fold_cache_case(rng)
+    opt = Adam(model.parameters(), lr=1e-2)
+    targets = [rng.normal(size=len(t)) for t in q]
+    variate_balanced_mse(model.forward(series, q), targets).backward()
+    opt.step()
+    _assert_refolded(model, series, q, before)
+
+
+def test_folds_rebuilt_after_load_state(rng):
+    model, series, q, before = _fold_cache_case(rng)
+    other, _, _, _ = _fold_cache_case(np.random.default_rng(5))
+    model.load_state({k: p.data for k, p in other.parameters().items()}, other.buffers())
+    _assert_refolded(model, series, q, before)
+
+
+def test_folds_rebuilt_after_calibrate(rng):
+    """Statistics change in place while every parameter array stays the same."""
+    model, series, q, before = _fold_cache_case(rng)
+    model.calibrate([random_series(rng, n_events=20) for _ in range(2)])
+    _assert_refolded(model, series, q, before)
+
+
+def test_folds_rebuilt_after_parameter_rebinding(rng):
+    model, series, q, before = _fold_cache_case(rng)
+    for p in model.parameters().values():
+        p.data = p.data + rng.normal(0.0, 0.1, size=p.shape)
+    _assert_refolded(model, series, q, before)

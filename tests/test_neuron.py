@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import gradcheck
-from oracles import EaLifConfig, LifConfig, ealif_leak, ealif_step, lif_step
-from sedformer.errors import ConfigError, DataError
+from oracles import EaLifConfig, LifConfig, ealif_leak, ealif_step, lif_step, tau_from_eta
+from sedformer.errors import ConfigError, DataError, ShapeError
 from sedformer.neuron import (_eta_grad, ealif_filter, ealif_spike_scan, eta_for_tau,
-                              heaviside, surrogate_grad, tau_from_eta)
+                              heaviside, surrogate_grad)
 from sedformer.tensor import Tensor, parameter
 
 
@@ -30,7 +30,7 @@ def test_eta_grad_adds_the_steps_in_sequence():
         expected = 0.0
         for term in per_step[::-1].tolist():
             expected += term
-        assert _eta_grad(dbeta, adj, prev.copy(), inp) == expected
+        assert _eta_grad(dbeta, (prev - inp) * adj) == expected
 
 
 def test_lif_step_hand_value():
@@ -142,6 +142,47 @@ def test_ealif_filter_gradients(rng):
             return (out * out).sum()
 
         gradcheck(build, [x, eta])
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["K_gaps", "KB_gaps"])
+def test_stacked_filter_equals_single_filters(batched):
+    """Three etas over three blocks of the last axis give, bitwise, each
+    block's output and the x and eta gradients of a filter run alone."""
+    rng = np.random.default_rng(8)
+    K, n = 9, 4
+    lead = (K, 3, 2) if batched else (K, 2)  # [K, B, D] or [K, D]
+    dt = rng.uniform(0.0, 3.0, size=lead[:2] if batched else K)
+    dt[0] = 0.0
+    x = rng.normal(size=lead + (3 * n,))
+    g = rng.normal(size=x.shape)
+    for squash in ("softplus", None):
+        etas = tuple(parameter(np.array(eta_for_tau(t))) for t in (1.5, 2.0, 40.0))
+        xs = parameter(x)
+        stacked = ealif_filter(xs, dt, etas, squash=squash)
+        (stacked * Tensor(g)).sum().backward()
+        for e, eta in enumerate(etas):
+            block = slice(e * n, (e + 1) * n)
+            eta_e, x_e = parameter(eta.data.copy()), parameter(x[..., block].copy())
+            single = ealif_filter(x_e, dt, eta_e, squash=squash)
+            (single * Tensor(g[..., block].copy())).sum().backward()
+            assert np.array_equal(stacked.data[..., block], single.data)
+            assert np.array_equal(xs.grad[..., block], x_e.grad)
+            assert np.array_equal(eta.grad, eta_e.grad)
+
+
+def test_stacked_filter_gradients(rng):
+    for shape, dt in (((6, 2, 6), rng.uniform(0.2, 2.0, size=6)),
+                      ((5, 2, 2, 6), rng.uniform(0.2, 2.0, size=(5, 2)))):
+        x = parameter(rng.normal(size=shape))
+        etas = tuple(parameter(np.array(v)) for v in (0.3, -0.4, 1.1))
+        for squash in ("softplus", None):
+            def build():
+                out = ealif_filter(x, dt, etas, squash=squash)
+                return (out * out).sum()
+
+            gradcheck(build, [x, *etas])
+    with pytest.raises(ShapeError):
+        ealif_filter(Tensor(np.zeros((4, 2, 5))), np.ones(4), etas)  # 5 is no 3 blocks
 
 
 def test_ealif_spike_scan_smooth_gradients(rng):
