@@ -170,7 +170,7 @@ class SedAttention(Module):
             z = linear(x, *fold_once(self, (*ws, *bns, norm), lambda: fold_map(
                 concat(list(ws), axis=1), pre=None if norm is None else norm.scale_shift(),
                 post=tuple(concat(list(t)) for t in zip(*(bn.scale_shift() for bn in bns))))))
-        qkv = ealif_filter(z, gaps, (self.eta_q, self.eta_k, self.eta_v), squash=None)
+        qkv = ealif_filter(z, gaps, (self.eta_q, self.eta_k, self.eta_v))
         Kp, D = x.shape[0], x.shape[-2]
         real = None
         if lengths is not None and np.any(lengths < Kp):  # keep pads out of KV and k_sum

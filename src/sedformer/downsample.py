@@ -3,15 +3,12 @@
 Spike rasters stay binary under max pooling, the observation mask pools
 the same way, and each pooled step inherits the LAST event time of its
 window so downstream decay factors see real elapsed time. A trailing
-remainder shorter than the stride is dropped (the primitives warn about
-it). The primitives reject a stride longer than the sequence;
-``pool_events`` instead pools a history shorter than the stride into one
-step.
+remainder shorter than the stride is dropped. ``pool_max`` rejects a
+stride longer than the sequence; ``pool_events`` instead pools a history
+shorter than the stride into one step.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -29,15 +26,11 @@ def _n_windows(stride: int, length: int) -> int:
     return length // stride
 
 
-def _check_stride(stride: int, length: int) -> int:
-    n_windows = _n_windows(stride, length)
-    remainder = length - n_windows * int(stride)
-    if remainder:
-        warnings.warn(f"dropping {remainder} trailing event(s) not filling a window of {stride}")
-    return n_windows
-
-
-def _max_op(x: Tensor, stride: int, n: int) -> Tensor:
+def pool_max(x: Tensor, stride: int) -> Tensor:
+    """Max over consecutive windows along axis 0; gradient flows to the
+    (first) argmax of each window."""
+    stride = int(stride)
+    n = _n_windows(stride, x.shape[0])
     win_shape = (n, stride) + x.shape[1:]
     windows = x.data[:n * stride].reshape(win_shape)
     out = windows.max(axis=1)
@@ -52,26 +45,6 @@ def _max_op(x: Tensor, stride: int, n: int) -> Tensor:
         accumulate_grad(x, full)
 
     return make_op(out, (x,), bwd)
-
-
-def pool_max(x: Tensor, stride: int) -> Tensor:
-    """Max over consecutive windows along axis 0; gradient flows to the
-    (first) argmax of each window."""
-    return _max_op(x, int(stride), _check_stride(stride, x.shape[0]))
-
-
-def pool_mask(mask: np.ndarray, stride: int) -> np.ndarray:
-    """A pooled step is observed if any event in its window was."""
-    mask = np.asarray(mask, dtype=np.float64)
-    n = _check_stride(stride, mask.shape[0])
-    return mask[:n * stride].reshape((n, stride) + mask.shape[1:]).max(axis=1)
-
-
-def pool_times(times: np.ndarray, stride: int) -> np.ndarray:
-    """Each pooled step keeps the last event time of its window."""
-    times = np.asarray(times, dtype=np.float64)
-    n = _check_stride(stride, times.shape[0])
-    return times[stride - 1::stride][:n].copy()
 
 
 def pool_events(spikes: Tensor, mask: np.ndarray, times: np.ndarray,
@@ -95,15 +68,15 @@ def pool_events(spikes: Tensor, mask: np.ndarray, times: np.ndarray,
     mask = np.asarray(mask, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     s = min(int(stride), K)
-    n = _n_windows(s, K)
     lengths = window_lengths(mask)
     if lengths is not None and np.any(lengths < s):
         # a short window pools all of its events into one step, so keep
         # the spikes of its pads out of that step's max
         real = np.arange(K)[:, None] < lengths
         spikes = spikes * Tensor(real.reshape(real.shape + (1,) * (spikes.ndim - 2)))
-    pooled = _max_op(spikes, s, n)
+    pooled = pool_max(spikes, s)
     count_spikes("pool", pooled.data)
+    n = pooled.shape[0]
     pooled_mask = mask[:n * s].reshape((n, s) + mask.shape[1:]).max(axis=1)
     pooled_times = times[s - 1::s][:n].copy()
     if lengths is not None:

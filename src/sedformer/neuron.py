@@ -98,16 +98,16 @@ def _eta_grad(dbeta_deta: np.ndarray, terms: np.ndarray) -> float:
     return float(np.cumsum(per_step[::-1])[-1])  # in sequence; .sum() would add in pairs
 
 
-def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor | tuple[Tensor, ...],
-                 squash: str | None = "softplus") -> Tensor:
+def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor | tuple[Tensor, ...]) -> Tensor:
     """Event-driven low-pass filter without threshold or reset.
 
     m_k = beta_k * m_{k-1} + (1 - beta_k) * x_k with m_0 = 0 and
-    beta_k = exp(-dt_k / tau). Optional elementwise squash of the output
-    ("softplus" or None). x: [K, ...]; dt: [K], or [K, B] for a time-major
-    batch x [K, B, ...] whose windows have their own gaps; eta: scalar
-    parameter. The carried state is m itself (no reset on continuous
-    features).
+    beta_k = exp(-dt_k / tau); returns the filtered state m, same shape as
+    x. x: [K, ...]; dt: [K], or [K, B] for a time-major batch x [K, B, ...]
+    whose windows have their own gaps; eta: scalar parameter. The carried
+    state is m itself (no reset on continuous features). Any squash of the
+    output is the caller's (``backbone.linear_attention`` applies softplus
+    to q and k).
 
     A tuple of E etas runs E filters in one scan over x as [K, ..., E, n]
     (the last axis holds E equal blocks); each block's output and gradients
@@ -118,8 +118,6 @@ def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor | tuple[Tensor, ...],
     """
     etas = (eta,) if isinstance(eta, Tensor) else tuple(eta)
     dt = _check_scan_args(x, dt, etas)
-    if squash not in (None, "softplus"):
-        raise ConfigError(f"unsupported squash: {squash!r}")
     K, E = x.shape[0], len(etas)
     xv = x.data if E == 1 else x.data.reshape(x.shape[:-1] + (E, -1))
     beta, dbeta_deta = _beta_and_chain(dt, etas, xv.ndim, is_recording(x, *etas))
@@ -128,16 +126,14 @@ def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor | tuple[Tensor, ...],
     prev = np.zeros(xv.shape[1:])
     for k in range(K):
         prev = m[k] = beta[k] * prev + drive[k]
-    out = softplus(m) if squash == "softplus" else m
     count_macs(2 * xv.size, xv.size, xv.size)  # beta * m and (1 - beta) * x per slot
 
     def bwd(g):
         g = g.reshape(m.shape)
-        gm = g * sigmoid(m) if squash == "softplus" else g
         total = np.empty_like(xv)  # adjoint of m_k
         carry = np.zeros(xv.shape[1:])
         for k in range(K - 1, -1, -1):
-            total[k] = t_k = gm[k] + carry
+            total[k] = t_k = g[k] + carry
             carry = beta[k] * t_k
         terms = np.empty_like(xv)  # (m_{k-1} - x_k) * total_k
         terms[0] = 0.0 - xv[0]
@@ -148,7 +144,7 @@ def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor | tuple[Tensor, ...],
             at = (..., e, slice(None)) if E > 1 else ...  # filter e's block
             accumulate_grad(eta_e, np.full_like(eta_e.data, _eta_grad(dbeta_deta[at], terms[at])))
 
-    return make_op(out.reshape(x.shape), (x, *etas), bwd)
+    return make_op(m.reshape(x.shape), (x, *etas), bwd)
 
 
 def ealif_spike_scan(current: Tensor, dt: np.ndarray, eta: Tensor,

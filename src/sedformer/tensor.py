@@ -319,7 +319,7 @@ class Tensor:
                 if a.grad is None:
                     a.grad = np.zeros_like(a.data)
                 a.grad[idx] += g
-            else:
+            else:  # kept for the tests' differentiable gathers (the concat-decoder oracle)
                 full = np.zeros_like(a.data)
                 np.add.at(full, idx, g)
                 _accum(a, full)

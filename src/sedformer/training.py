@@ -222,46 +222,51 @@ def train(model: SedFormer, train_items: list[WindowItem],
     history = []
     best = {"epoch": -1, "val_mse": float("inf"), "params": None, "buffers": None}
     train_series = [item.series for item in train_items]
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, epoch])
-        order = rng.permutation(len(train_items))
-        # pooled normalization stats, then gradient steps under those same
-        # frozen stats: per-forward batch stats would tie each window's
-        # scaling to its batch-mates (or normalize away a lone window's
-        # level) and break inference
-        model.calibrate(train_series)
-        epoch_losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
-            opt.zero_grad()
-            batch_loss = 0.0
-            # the runs' gradients add up in .grad; only one run's tape is
-            # alive at a time, since each backward frees its own
-            for run in batch_ranges([item.series for item in batch],
-                                    [item.n_queries for item in batch], BATCH_ROWS):
-                windows = batch[run.start:run.stop]
-                preds = model.forward([item.series for item in windows],
-                                      [item.query_times for item in windows])
-                loss = variate_balanced_mse(preds, [item.targets for item in windows])
-                loss = loss * (1.0 / len(batch))
-                assert_finite(loss, "training loss")
-                loss.backward()
-                batch_loss += loss.item()
-            opt.step()
-            epoch_losses.append(batch_loss)
-        val = evaluate(model, val_items) if val_items else {"mse": float("nan"),
-                                                            "mae": float("nan")}
-        train_loss = float(np.mean(epoch_losses))
-        if not np.isfinite(train_loss):
-            raise NumericsError("training loss diverged")
-        history.append({"epoch": epoch, "train_loss": train_loss,
-                        "val_mse": val["mse"], "val_mae": val["mae"]})
-        if log is not None:
-            log(f"epoch {epoch}: train_loss={train_loss:.6f} val_mse={val['mse']:.6f}")
-        if val_items and val["mse"] < best["val_mse"]:
-            best = {"epoch": epoch, "val_mse": val["mse"],
-                    "params": {k: p.data.copy() for k, p in params.items()},
-                    "buffers": {k: b.copy() for k, b in model.buffers().items()}}
+    try:
+        for epoch in range(cfg.epochs):
+            rng = np.random.default_rng([cfg.seed, epoch])
+            order = rng.permutation(len(train_items))
+            # pooled normalization stats, then gradient steps under those same
+            # frozen stats: per-forward batch stats would tie each window's
+            # scaling to its batch-mates (or normalize away a lone window's
+            # level) and break inference
+            model.calibrate(train_series)
+            epoch_losses = []
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
+                opt.zero_grad()
+                batch_loss = 0.0
+                # the runs' gradients add up in .grad; only one run's tape is
+                # alive at a time, since each backward frees its own
+                for run in batch_ranges([item.series for item in batch],
+                                        [item.n_queries for item in batch], BATCH_ROWS):
+                    windows = batch[run.start:run.stop]
+                    preds = model.forward([item.series for item in windows],
+                                          [item.query_times for item in windows])
+                    loss = variate_balanced_mse(preds, [item.targets for item in windows])
+                    loss = loss * (1.0 / len(batch))
+                    assert_finite(loss, "training loss")
+                    loss.backward()
+                    batch_loss += loss.item()
+                opt.step()
+                epoch_losses.append(batch_loss)
+            val = evaluate(model, val_items) if val_items else {"mse": float("nan"),
+                                                                "mae": float("nan")}
+            train_loss = float(np.mean(epoch_losses))
+            if not np.isfinite(train_loss):
+                raise NumericsError("training loss diverged")
+            history.append({"epoch": epoch, "train_loss": train_loss,
+                            "val_mse": val["mse"], "val_mae": val["mae"]})
+            if log is not None:
+                log(f"epoch {epoch}: train_loss={train_loss:.6f} val_mse={val['mse']:.6f}")
+            if val_items and val["mse"] < best["val_mse"]:
+                best = {"epoch": epoch, "val_mse": val["mse"],
+                        "params": {k: p.data.copy() for k, p in params.items()},
+                        "buffers": {k: b.copy() for k, b in model.buffers().items()}}
+    except NumericsError as e:
+        # finite parameters on checked data stay finite: the steps diverged
+        raise ConfigError(f"training diverged ({e}): lower lr (now {cfg.lr:g}) or set a "
+                          f"smaller grad_clip (now {cfg.grad_clip})") from e
     if best["params"] is not None:
         model.load_state(best["params"], best["buffers"])
     return {"history": history, "best_epoch": best["epoch"],

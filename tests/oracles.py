@@ -12,6 +12,9 @@ gradients against it:
   one neuron update per call, the reference for the event-driven scans and
   for criterion 2; ``tau_from_eta`` is their tau = softplus(eta) + 1, which
   the scans compute on raw arrays (``neuron._beta_and_chain``).
+- ``count_ann_layer``: the op counts of one dense layer written out as a
+  formula, the reference that ``energy.dense_counts`` of a measured
+  ``linear`` must reproduce.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sedformer.backbone import SedAttention
+from sedformer.energy import OpCounts, dense_counts
 from sedformer.errors import ConfigError, DataError
 from sedformer.model import Decoder
 from sedformer.neuron import ealif_filter, eta_for_tau, heaviside, surrogate_grad
@@ -48,13 +52,13 @@ def composed_attention(attn: SedAttention, x: Tensor, gaps: np.ndarray,
     H, dh = attn.heads, attn.d_head
     x_flat = x.reshape(-1, dim)
 
-    def heads(w, bn, eta, squash):  # -> [B, H, K'*D, d_h]
-        f = ealif_filter(bn((x_flat @ w).reshape(x.shape), lengths), gaps, eta, squash=squash)
+    def heads(w, bn, eta):  # -> [B, H, K'*D, d_h]
+        f = ealif_filter(bn((x_flat @ w).reshape(x.shape), lengths), gaps, eta)
         return f.reshape(Kp, B, D, H, dh).transpose(1, 3, 0, 2, 4).reshape(B, H, Kp * D, dh)
 
-    phi_q = heads(attn.w_q, attn.bn_q, attn.eta_q, "softplus")
-    phi_k = heads(attn.w_k, attn.bn_k, attn.eta_k, "softplus")
-    vtil = heads(attn.w_v, attn.bn_v, attn.eta_v, None)
+    phi_q = heads(attn.w_q, attn.bn_q, attn.eta_q).softplus()
+    phi_k = heads(attn.w_k, attn.bn_k, attn.eta_k).softplus()
+    vtil = heads(attn.w_v, attn.bn_v, attn.eta_v)
     if lengths is not None and np.any(lengths < Kp):
         real = np.repeat(np.arange(Kp) < lengths[:, None], D, axis=1)  # [B, K'*D]
         phi_k = phi_k * Tensor(real[:, None, :, None])
@@ -175,3 +179,20 @@ def ealif_step(v_prev: Tensor, current: Tensor, dt: float, cfg: EaLifConfig,
     s = spike(m - cfg.v_th, alpha=cfg.alpha_ste, smooth=smooth)
     v = m - s * cfg.v_th
     return m, s, v
+
+
+# -- energy ------------------------------------------------------------------------
+
+
+def count_ann_layer(d_in: int, d_out: int, t_eff: int) -> OpCounts:
+    """Dense layer activity over t_eff steps: n_mac = d_in*d_out*t_eff,
+    one parameter fetch per invocation plus per-step activation reads and
+    writes. Zero steps means zero activity of every kind.
+    """
+    if d_in < 1 or d_out < 1:
+        raise ConfigError(f"dims must be positive, got d_in={d_in}, d_out={d_out}")
+    if t_eff < 0:
+        raise ConfigError(f"t_eff must be nonnegative, got {t_eff}")
+    if t_eff == 0:
+        return OpCounts()
+    return dense_counts(d_in * d_out * t_eff, d_in * d_out + d_in * t_eff, d_out * t_eff)

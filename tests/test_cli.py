@@ -118,6 +118,14 @@ def test_runtime_loads_only_numpy_and_the_standard_library():
     assert foreign == []
 
 
+def test_public_names_resolve():
+    """``from sedformer import *`` binds every name of ``sedformer.__all__``,
+    so the list names no deleted or moved symbol."""
+    namespace = {}
+    exec("from sedformer import *", namespace)
+    assert set(sedformer.__all__) <= namespace.keys()
+
+
 def test_config_file_precedence(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"days": 150, "series": 2, "seed": 9}))
@@ -309,6 +317,8 @@ INVALID_SETTINGS = [  # (command, flags, the setting the error must name)
     ("train", ["--tau", "1e300"], "tau_init"),
     ("prepare", ["--outlier-mult", "nan"], "outlier_mult"),
     ("eval", ["--checkpoint", "{data}/train.csv"], "checkpoint"),
+    ("energy", ["--e-mac", "1e308"], "e_mac=1e+308"),
+    ("train", ["--lr", "1e300"], "lr (now 1e+300) or set a smaller grad_clip"),
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gradcheck
-from sedformer.downsample import pool_events, pool_mask, pool_max, pool_times
+from sedformer.downsample import pool_events, pool_max
 from sedformer.errors import ConfigError
 from sedformer.tensor import Tensor, parameter
 
@@ -54,24 +54,48 @@ def test_stride_validation():
         pool_max(x, 5)
 
 
-def test_remainder_warning():
-    with warnings.catch_warnings(record=True) as w:
-        warnings.simplefilter("always")
-        pool_max(Tensor(np.zeros((7, 1))), 2)
-    assert any("trailing" in str(x.message) for x in w)
+def pooled_mask_and_times(mask: np.ndarray, times: np.ndarray, stride: int):
+    """``pool_events`` on a silent raster: its pooled mask and stamps."""
+    _, pm, pt = pool_events(Tensor(np.zeros(mask.shape + (1,))), mask, times, stride)
+    return pm, pt
 
 
 def test_pool_times_takes_window_last_stamp():
     t = np.array([1.0, 2.0, 5.0, 9.0])
-    assert np.array_equal(pool_times(t, 2), [2.0, 9.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert np.array_equal(pool_times(np.array([1.0, 2.0, 3.0]), 2), [2.0])
+    assert np.array_equal(pooled_mask_and_times(np.ones((4, 1)), t, 2)[1], [2.0, 9.0])
+    t = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(pooled_mask_and_times(np.ones((3, 1)), t, 2)[1], [2.0])
 
 
 def test_pool_mask_unions_windows():
     m = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(pool_mask(m, 2), [[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(pooled_mask_and_times(m, np.arange(4.0), 2)[0],
+                          [[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_pool_events_drops_the_remainder_silently():
+    """With K mod s != 0, a lone window and a padded batch pool without a
+    warning and keep the front-aligned steps: stamps ``times[s-1::s][:n]``
+    and the union of each window's mask rows."""
+    rng = np.random.default_rng(5)
+    s, K, D = 3, 7, 2
+    mask = (rng.uniform(size=(K, 2, D)) < 0.6).astype(np.float64)
+    mask[:, :, 0] = 1.0  # every real row is observed somewhere
+    mask[5:, 1] = 0.0  # window 1 has 5 real rows, then two pads
+    times = np.sort(rng.uniform(0.0, 20.0, size=(K, 2)), axis=0)
+    times[5:, 1] = times[4, 1]
+    spikes = (rng.uniform(size=(K, 2, D, 2)) < 0.5).astype(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps, pm, pt = pool_events(Tensor(spikes[:, 0]), mask[:, 0], times[:, 0], s)
+        batch = pool_events(Tensor(spikes), mask, times, s)
+    windows = [(0, 2, (ps.data, pm, pt))]  # (window, kept steps, its pooled outputs)
+    windows += [(b, n, (batch[0].data[:, b], batch[1][:, b], batch[2][:, b]))
+                for b, n in ((0, 2), (1, 1))]
+    for b, n, (ps, pm, pt) in windows:
+        assert np.array_equal(pt[:n], times[s - 1::s, b][:n])
+        assert np.array_equal(pm[:n], mask[:n * s, b].reshape(n, s, D).max(axis=1))
+        assert np.array_equal(ps[:n], brute_force_pool(spikes[:, b], s)[:n])
 
 
 def test_pool_events_consistency(rng):

@@ -108,13 +108,10 @@ def test_ealif_reduces_to_lif_on_uniform_gaps():
 
 
 def test_ealif_filter_constant_input():
-    # x=0 everywhere keeps m at 0; softplus squash gives log 2
+    # x=0 everywhere keeps m at 0
     x = Tensor(np.zeros((5, 2)))
     out = ealif_filter(x, np.ones(5), Tensor(np.array(eta_for_tau(2.0))))
-    assert np.allclose(out.data, np.log(2.0))
-    raw = ealif_filter(x, np.ones(5), Tensor(np.array(eta_for_tau(2.0))),
-                       squash=None)
-    assert np.allclose(raw.data, 0.0)
+    assert np.allclose(out.data, 0.0)
 
 
 def test_ealif_filter_matches_manual_recurrence(rng):
@@ -122,7 +119,7 @@ def test_ealif_filter_matches_manual_recurrence(rng):
     x = rng.normal(size=(k, d))
     dt = rng.uniform(0.1, 3.0, size=k)
     eta = eta_for_tau(1.7)
-    out = ealif_filter(Tensor(x), dt, Tensor(np.array(eta)), squash=None)
+    out = ealif_filter(Tensor(x), dt, Tensor(np.array(eta)))
     tau = np.log1p(np.exp(eta)) + 1.0
     m = np.zeros(d)
     for u in range(k):
@@ -132,16 +129,15 @@ def test_ealif_filter_matches_manual_recurrence(rng):
 
 
 def test_ealif_filter_gradients(rng):
-    for squash in ("softplus", None):
-        x = parameter(rng.normal(size=(6, 2)))
-        eta = parameter(np.array(0.3))
-        dt = rng.uniform(0.2, 2.0, size=6)
+    x = parameter(rng.normal(size=(6, 2)))
+    eta = parameter(np.array(0.3))
+    dt = rng.uniform(0.2, 2.0, size=6)
 
-        def build():
-            out = ealif_filter(x, dt, eta, squash=squash)
-            return (out * out).sum()
+    def build():
+        out = ealif_filter(x, dt, eta)
+        return (out * out).sum()
 
-        gradcheck(build, [x, eta])
+    gradcheck(build, [x, eta])
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["K_gaps", "KB_gaps"])
@@ -155,19 +151,18 @@ def test_stacked_filter_equals_single_filters(batched):
     dt[0] = 0.0
     x = rng.normal(size=lead + (3 * n,))
     g = rng.normal(size=x.shape)
-    for squash in ("softplus", None):
-        etas = tuple(parameter(np.array(eta_for_tau(t))) for t in (1.5, 2.0, 40.0))
-        xs = parameter(x)
-        stacked = ealif_filter(xs, dt, etas, squash=squash)
-        (stacked * Tensor(g)).sum().backward()
-        for e, eta in enumerate(etas):
-            block = slice(e * n, (e + 1) * n)
-            eta_e, x_e = parameter(eta.data.copy()), parameter(x[..., block].copy())
-            single = ealif_filter(x_e, dt, eta_e, squash=squash)
-            (single * Tensor(g[..., block].copy())).sum().backward()
-            assert np.array_equal(stacked.data[..., block], single.data)
-            assert np.array_equal(xs.grad[..., block], x_e.grad)
-            assert np.array_equal(eta.grad, eta_e.grad)
+    etas = tuple(parameter(np.array(eta_for_tau(t))) for t in (1.5, 2.0, 40.0))
+    xs = parameter(x)
+    stacked = ealif_filter(xs, dt, etas)
+    (stacked * Tensor(g)).sum().backward()
+    for e, eta in enumerate(etas):
+        block = slice(e * n, (e + 1) * n)
+        eta_e, x_e = parameter(eta.data.copy()), parameter(x[..., block].copy())
+        single = ealif_filter(x_e, dt, eta_e)
+        (single * Tensor(g[..., block].copy())).sum().backward()
+        assert np.array_equal(stacked.data[..., block], single.data)
+        assert np.array_equal(xs.grad[..., block], x_e.grad)
+        assert np.array_equal(eta.grad, eta_e.grad)
 
 
 def test_stacked_filter_gradients(rng):
@@ -175,12 +170,12 @@ def test_stacked_filter_gradients(rng):
                       ((5, 2, 2, 6), rng.uniform(0.2, 2.0, size=(5, 2)))):
         x = parameter(rng.normal(size=shape))
         etas = tuple(parameter(np.array(v)) for v in (0.3, -0.4, 1.1))
-        for squash in ("softplus", None):
-            def build():
-                out = ealif_filter(x, dt, etas, squash=squash)
-                return (out * out).sum()
 
-            gradcheck(build, [x, *etas])
+        def build():
+            out = ealif_filter(x, dt, etas)
+            return (out * out).sum()
+
+        gradcheck(build, [x, *etas])
     with pytest.raises(ShapeError):
         ealif_filter(Tensor(np.zeros((4, 2, 5))), np.ones(4), etas)  # 5 is no 3 blocks
 
