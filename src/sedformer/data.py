@@ -10,8 +10,8 @@ keep masks) and cut into rolling history/horizon windows.
 
 Also houses two synthetic generators: a forecasting suite (sinusoid plus
 trend, bursty availability) and a one-variate visualization series with
-two dense bursts, plus the grid-based reference encoders used only for
-raster plots.
+two dense bursts, plus the reference encoders used only for raster plots:
+two on a regular grid and one event-driven, the neuron's own recurrence.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EventSeries, align_events
+from .encoder import EventSeries, align_events, event_gaps
 from .errors import ConfigError, DataError
+from .neuron import ealif_recurrence, heaviside
 from .training import WindowItem
 
 HISTORY_DAYS = 90
@@ -559,8 +560,9 @@ def baseline_encoders(data: dict, cfg: VizConfig) -> dict:
     """Three reference spike trains for the raster figure.
 
     delta/conv fire on the regular grid; the event-driven reference runs
-    the scalar gap-decay recurrence directly on the irregular stamps.
-    Returns {name: (times, spikes)}.
+    the EA-LIF recurrence (``neuron.ealif_recurrence``, threshold and soft
+    reset) directly on the irregular stamps, with beta = exp(-dt / tau) for
+    any tau > 0. Returns {name: (times, spikes)}.
     """
     x_grid = np.asarray(data["x_grid"], dtype=np.float64)
     t_grid = np.asarray(data["t_grid"], dtype=np.float64)
@@ -579,20 +581,14 @@ def baseline_encoders(data: dict, cfg: VizConfig) -> dict:
         c_spk = np.zeros(t_grid.size)
     else:
         c_spk = (((y - y.mean()) / sd) >= cfg.conv_threshold).astype(np.float64)
-    # event-driven scalar recurrence on the irregular stamps
+    # event-driven recurrence on the irregular stamps; tau <= 1 has no eta,
+    # so beta comes from tau directly
     t_irr = np.asarray(data["t_irr"], dtype=np.float64)
     x_irr = np.asarray(data["x_irr"], dtype=np.float64)
-    gaps = np.empty_like(t_irr)
-    gaps[0] = 0.0
-    gaps[1:] = np.diff(t_irr)
-    beta = np.exp(-gaps / cfg.tau)
-    e_spk = np.zeros(t_irr.size)
-    v = 0.0
-    for k in range(t_irr.size):
-        m = beta[k] * v + (1.0 - beta[k]) * cfg.gamma * (x_irr[k] - cfg.delta_threshold)
-        s = 1.0 if m >= cfg.v_th else 0.0
-        v = m - cfg.v_th * s
-        e_spk[k] = s
+    beta = np.exp(-event_gaps(t_irr) / cfg.tau)
+    m, _ = ealif_recurrence(beta, (1.0 - beta) * cfg.gamma * (x_irr - cfg.delta_threshold),
+                            cfg.v_th)
+    e_spk = heaviside(m - cfg.v_th)
     return {"delta": (t_grid, d_spk), "conv": (t_grid, c_spk), "event": (t_irr, e_spk)}
 
 

@@ -179,8 +179,7 @@ class SedSeEncoder(Module):
     """
 
     def __init__(self, n_variates: int, channels: int = 8, kernel_size: int = 3,
-                 tau_init: float = 2.0, v_th: float = 1.0, alpha: float = 4.0,
-                 first_gap: str = "zero", seed: int = 0):
+                 tau_init: float = 2.0, first_gap: str = "zero", seed: int = 0):
         if n_variates < 1 or channels < 1:
             raise ConfigError("need at least one variate and one channel")
         if kernel_size % 2 == 0 or kernel_size < 1:
@@ -188,8 +187,6 @@ class SedSeEncoder(Module):
         self.n_variates = n_variates
         self.channels = channels
         self.kernel_size = kernel_size
-        self.v_th = v_th
-        self.alpha = alpha
         self.first_gap = first_gap
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(kernel_size)
@@ -238,6 +235,5 @@ class SedSeEncoder(Module):
         """Spike raster [K, D, C] ([K, B, D, C] for a batch) and the event gaps used for decay."""
         current, gaps = self.drive_current(series)
         with scope("dynamics"):
-            spikes = ealif_spike_scan(current, gaps, self.eta, v_th=self.v_th,
-                                      alpha=self.alpha, smooth=smooth)
+            spikes = ealif_spike_scan(current, gaps, self.eta, smooth=smooth)
         return spikes, gaps

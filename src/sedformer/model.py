@@ -31,21 +31,20 @@ from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, assert_finite, 
 # against ~3 KiB per event slot).
 BATCH_ROWS = 2048
 
-# Fixed settings (ModelConfig fields in older checkpoints): spike threshold,
-# surrogate sharpness, time-embedding stamp scale in days, attention eps.
-V_TH, ALPHA_STE, TE_SPAN, ATTENTION_EPS = 1.0, 4.0, 90.0, 1e-6
+# Fixed settings (ModelConfig fields in older checkpoints, as are the
+# neuron's V_TH and ALPHA_STE): time-embedding stamp scale in days, attention eps.
+TE_SPAN, ATTENTION_EPS = 90.0, 1e-6
 
 
-def batch_ranges(series: list[EventSeries], n_queries: list[int] | None = None,
-                 max_rows: int = BATCH_ROWS) -> list[range]:
+def batch_ranges(series: list[EventSeries], n_queries: list[int] | None = None) -> list[range]:
     """Consecutive index runs of ``series``, each one batch of at most
-    ``max_rows`` rows (or a single larger window); window i brings
+    ``BATCH_ROWS`` rows (or a single larger window); window i brings
     ``n_queries[i]`` decoder rows (none without ``n_queries``)."""
     runs, start, k_max, q = [], 0, 0, 0
     for i, s in enumerate(series):
         k = max(k_max, s.n_events)
         q_i = n_queries[i] if n_queries else 0
-        if i > start and k * (i + 1 - start) * s.n_variates + q + q_i > max_rows:
+        if i > start and k * (i + 1 - start) * s.n_variates + q + q_i > BATCH_ROWS:
             runs.append(range(start, i))
             start, k, q = i, s.n_events, 0
         k_max, q = k, q + q_i
@@ -182,8 +181,8 @@ class SedFormer(Module):
         c = config
         self.encoder = SedSeEncoder(
             n_variates=c.n_variates, channels=c.conv_channels,
-            kernel_size=c.kernel_size, tau_init=c.tau_init, v_th=V_TH,
-            alpha=ALPHA_STE, first_gap=c.first_gap, seed=c.seed)
+            kernel_size=c.kernel_size, tau_init=c.tau_init, first_gap=c.first_gap,
+            seed=c.seed)
         rng = np.random.default_rng(c.seed + 1)
         self.embed = parameter(
             rng.normal(0.0, 1.0 / np.sqrt(c.conv_channels), size=(c.conv_channels, c.dim)))

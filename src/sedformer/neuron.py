@@ -1,10 +1,12 @@
-"""Spiking neuron dynamics: the event-driven EA-LIF scans.
+"""Spiking neuron dynamics: the event-driven EA-LIF scan.
 
-Two recurrence kernels carry hand-derived backward rules (``ealif_filter``
-and ``ealif_spike_scan``). They keep memory per step O(state) instead of
-materializing one tape node per event per channel. Per-step LIF and EA-LIF
-updates composed from tape primitives live with the tests
-(``tests/oracles.py``) as an independent reference for the scans.
+One recurrence kernel carries a hand-derived backward rule: the spike
+encoder runs it with a threshold and soft reset (``ealif_spike_scan``),
+the attention's membrane features without one (``ealif_filter``). It
+keeps memory per step O(state) instead of materializing one tape node per
+event per channel. Per-step LIF and EA-LIF updates composed from tape
+primitives live with the tests (``tests/oracles.py``) as an independent
+reference for the scan.
 
 Spike nonlinearity: the forward pass is a hard threshold H(u) = 1{u >= 0}
 (u == 0 fires). The backward pass always uses the scaled sigmoid surrogate
@@ -20,6 +22,9 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .tensor import (Tensor, accumulate_grad, count_macs, count_spikes, is_recording, make_op,
                      sigmoid, softplus)
+
+# The model's spike threshold and surrogate sharpness.
+V_TH, ALPHA_STE = 1.0, 4.0
 
 
 def heaviside(u: np.ndarray) -> np.ndarray:
@@ -73,20 +78,6 @@ def _beta_and_chain(dt: np.ndarray, etas: tuple[Tensor, ...], ndim: int,
     return beta.reshape(shape), dbeta_deta.reshape(shape)
 
 
-def _check_scan_args(x: Tensor, dt: np.ndarray, etas: tuple[Tensor, ...]) -> np.ndarray:
-    if any(e.size != 1 for e in etas):
-        raise ShapeError("scan kernels take a scalar eta per filter")
-    dt = np.asarray(dt, dtype=np.float64)
-    if dt.ndim not in (1, 2) or dt.shape != x.shape[:dt.ndim]:
-        raise ShapeError(f"dt must have shape ({x.shape[0]},) or {x.shape[:2]}, got {dt.shape}")
-    if len(etas) > 1 and (x.ndim <= dt.ndim or x.shape[-1] % len(etas)):
-        raise ShapeError(f"{len(etas)} stacked filters need a last axis of {len(etas)} "
-                         f"equal blocks, got {x.shape}")
-    if np.any(dt < 0):
-        raise DataError("event gaps must be nonnegative")
-    return dt
-
-
 def _eta_grad(dbeta_deta: np.ndarray, terms: np.ndarray) -> float:
     """sum_k dbeta_k/deta * sum(terms_k), with terms_k = adj_k * (prev_k - inp_k),
     added up from k = K-1 down to 0 as the reverse recurrence visits the steps.
@@ -98,115 +89,113 @@ def _eta_grad(dbeta_deta: np.ndarray, terms: np.ndarray) -> float:
     return float(np.cumsum(per_step[::-1])[-1])  # in sequence; .sum() would add in pairs
 
 
-def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor | tuple[Tensor, ...]) -> Tensor:
-    """Event-driven low-pass filter without threshold or reset.
 
-    m_k = beta_k * m_{k-1} + (1 - beta_k) * x_k with m_0 = 0 and
-    beta_k = exp(-dt_k / tau); returns the filtered state m, same shape as
-    x. x: [K, ...]; dt: [K], or [K, B] for a time-major batch x [K, B, ...]
-    whose windows have their own gaps; eta: scalar parameter. The carried
-    state is m itself (no reset on continuous features). Any squash of the
-    output is the caller's (``backbone.linear_attention`` applies softplus
-    to q and k).
 
-    A tuple of E etas runs E filters in one scan over x as [K, ..., E, n]
-    (the last axis holds E equal blocks); each block's output and gradients
-    are those of its filter run alone.
+def ealif_recurrence(beta: np.ndarray, drive: np.ndarray, v_th: float | None = None,
+                     alpha: float = ALPHA_STE, smooth: bool = False,
+                     keep_v: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """The forward event loop: m_k = beta_k * v_{k-1} + drive_k along axis 0, v_0 = 0.
 
-    Backward is hand-derived: the adjoint runs the recurrence in reverse,
-    so memory stays O(state) rather than O(K * state) tape nodes.
+    Without a threshold v_k = m_k. With one, v_k = m_k - v_th * s_k, with
+    s_k = H(m_k - v_th), or sigmoid(alpha * (m_k - v_th)) if ``smooth``.
+    Returns (m, v): v is m itself without a threshold, the post-reset
+    states with one and ``keep_v``, else None.
     """
-    etas = (eta,) if isinstance(eta, Tensor) else tuple(eta)
-    dt = _check_scan_args(x, dt, etas)
-    K, E = x.shape[0], len(etas)
-    xv = x.data if E == 1 else x.data.reshape(x.shape[:-1] + (E, -1))
-    beta, dbeta_deta = _beta_and_chain(dt, etas, xv.ndim, is_recording(x, *etas))
-    drive = (1.0 - beta) * xv  # (1 - beta_k) * x_k for every step at once
-    m = np.empty_like(xv)
-    prev = np.zeros(xv.shape[1:])
-    for k in range(K):
+    m = np.empty_like(drive)
+    v = m if v_th is None else np.empty_like(drive) if keep_v else None
+    prev = np.zeros(drive.shape[1:])
+    for k in range(drive.shape[0]):
         prev = m[k] = beta[k] * prev + drive[k]
-    count_macs(2 * xv.size, xv.size, xv.size)  # beta * m and (1 - beta) * x per slot
+        if v_th is not None:
+            prev = prev - v_th * (sigmoid(alpha * (prev - v_th)) if smooth else prev >= v_th)
+            if keep_v:
+                v[k] = prev
+    return m, v
+
+
+def _ealif_scan(x: Tensor, dt: np.ndarray, etas: tuple[Tensor, ...], v_th: float | None = None,
+                alpha: float = ALPHA_STE, smooth: bool = False) -> Tensor:
+    """EA-LIF over a whole scan, with a hand-derived backward.
+
+    beta_k = exp(-dt_k / tau), m_k = beta_k * v_{k-1} + (1 - beta_k) * x_k
+    (``ealif_recurrence``). The output is m without a threshold, the spike
+    train s_k = H(m_k - v_th) with one. x: [K, ...]; dt: [K], or [K, B]
+    for a time-major batch x [K, B, ...] whose windows have their own gaps.
+    E > 1 etas run E scans over x as [K, ..., E, n] (E equal blocks).
+
+    Backward: the adjoint of m runs the recurrence in reverse,
+        Gm_k = g'_k + beta_{k+1} * Gm_{k+1} * keep_k,
+    g' = g and keep = 1 without a threshold; with one, psi_k =
+    surrogate'(m_k - v_th), g' = g * psi and keep = d v_k / d m_k =
+    1 - v_th * psi. Then dx_k = (1 - beta_k) * Gm_k and dbeta_k =
+    sum(Gm_k * (v_{k-1} - x_k)). Memory stays O(state), not O(K * state)
+    tape nodes.
+    """
+    if any(e.size != 1 for e in etas):
+        raise ShapeError("scan kernels take a scalar eta per filter")
+    dt = np.asarray(dt, dtype=np.float64)
+    if dt.ndim not in (1, 2) or dt.shape != x.shape[:dt.ndim]:
+        raise ShapeError(f"dt must have shape ({x.shape[0]},) or {x.shape[:2]}, got {dt.shape}")
+    K, E = x.shape[0], len(etas)
+    if E > 1 and (x.ndim <= dt.ndim or x.shape[-1] % E):
+        raise ShapeError(f"{E} stacked filters need a last axis of {E} equal blocks, "
+                         f"got {x.shape}")
+    if np.any(dt < 0):
+        raise DataError("event gaps must be nonnegative")
+    xv = x.data if E == 1 else x.data.reshape(x.shape[:-1] + (E, -1))
+    record = is_recording(x, *etas)
+    beta, dbeta_deta = _beta_and_chain(dt, etas, xv.ndim, record)
+    m, v = ealif_recurrence(beta, (1.0 - beta) * xv, v_th, alpha, smooth, keep_v=record)
+    count_macs(2 * xv.size, xv.size, xv.size)  # beta * v and (1 - beta) * x per slot
+    out, psi = m, None
+    if v_th is not None:
+        u = m - v_th
+        out = sigmoid(alpha * u) if smooth else heaviside(u)
+        if record:
+            psi = surrogate_grad(u, alpha)
 
     def bwd(g):
-        g = g.reshape(m.shape)
-        total = np.empty_like(xv)  # adjoint of m_k
+        g, keep = g.reshape(xv.shape), None
+        if v_th is not None:
+            g, keep = g * psi, 1.0 - v_th * psi
+        Gm = np.empty_like(xv)  # adjoint of m_k
         carry = np.zeros(xv.shape[1:])
         for k in range(K - 1, -1, -1):
-            total[k] = t_k = g[k] + carry
-            carry = beta[k] * t_k
-        terms = np.empty_like(xv)  # (m_{k-1} - x_k) * total_k
+            if keep is not None:
+                carry = carry * keep[k]
+            Gm[k] = gm_k = g[k] + carry
+            carry = beta[k] * gm_k
+        terms = np.empty_like(xv)  # (v_{k-1} - x_k) * Gm_k
         terms[0] = 0.0 - xv[0]
-        np.subtract(m[:-1], xv[1:], out=terms[1:])
-        terms *= total
-        accumulate_grad(x, ((1.0 - beta) * total).reshape(x.shape))
+        np.subtract(v[:-1], xv[1:], out=terms[1:])
+        terms *= Gm
+        accumulate_grad(x, ((1.0 - beta) * Gm).reshape(x.shape))
         for e, eta_e in enumerate(etas):
             at = (..., e, slice(None)) if E > 1 else ...  # filter e's block
             accumulate_grad(eta_e, np.full_like(eta_e.data, _eta_grad(dbeta_deta[at], terms[at])))
 
-    return make_op(m.reshape(x.shape), (x, *etas), bwd)
+    return make_op(out.reshape(x.shape), (x, *etas), bwd)
+
+
+def ealif_filter(x: Tensor, dt: np.ndarray, eta: Tensor | tuple[Tensor, ...]) -> Tensor:
+    """EA-LIF without threshold or reset: the filtered state m, same shape as x.
+
+    Shapes as in ``_ealif_scan``. A tuple of E etas runs E filters in one
+    scan; each block's output and gradients are those of its filter run
+    alone. Any squash of the output is the caller's
+    (``backbone.linear_attention`` applies softplus to q and k).
+    """
+    return _ealif_scan(x, dt, (eta,) if isinstance(eta, Tensor) else tuple(eta))
 
 
 def ealif_spike_scan(current: Tensor, dt: np.ndarray, eta: Tensor,
-                     v_th: float = 1.0, alpha: float = 4.0,
+                     v_th: float = V_TH, alpha: float = ALPHA_STE,
                      smooth: bool = False) -> Tensor:
-    """Event-driven LIF with threshold and soft reset, over a whole scan.
-
-    For k = 1..K (v_0 = 0):
-        beta_k = exp(-dt_k / tau)
-        m_k = beta_k * v_{k-1} + (1 - beta_k) * I_k
-        s_k = H(m_k - v_th)           (surrogate gradient)
-        v_k = m_k - v_th * s_k
-    Returns the spike train s, same shape as ``current`` [K, ...]. dt is
-    [K], or [K, B] for a time-major batch of windows with their own gaps.
-
-    Backward (hand-derived, reverse recurrence):
-        psi_k   = surrogate'(m_k - v_th)
-        Gm_k    = Gs_k * psi_k + Gv_k * (1 - v_th * psi_k)
-        dI_k   += (1 - beta_k) * Gm_k
-        dbeta_k = sum(Gm_k * (v_{k-1} - I_k))
-        Gv_{k-1} = beta_k * Gm_k
-    """
-    dt = _check_scan_args(current, dt, (eta,))
+    """EA-LIF with threshold and soft reset: the spike train s, same shape
+    as ``current``, with s_k = H(m_k - v_th) and v_k = m_k - v_th * s_k.
+    Shapes as in ``_ealif_scan``."""
     if v_th <= 0:
         raise ConfigError(f"threshold must be positive, got {v_th}")
-    K = current.shape[0]
-    I = current.data
-    tail = I.shape[1:]
-    record = is_recording(current, eta)
-    beta, dbeta_deta = _beta_and_chain(dt, (eta,), I.ndim, record)
-    drive = (1.0 - beta) * I  # (1 - beta_k) * I_k for every step at once
-    m = np.empty_like(I)
-    v = np.empty_like(I) if record else None  # post-reset states, for the backward
-    v_prev = np.zeros(tail)
-    for k in range(K):
-        m_k = m[k] = beta[k] * v_prev + drive[k]
-        if smooth:
-            v_prev = m_k - v_th * sigmoid(alpha * (m_k - v_th))
-        else:
-            v_prev = m_k - v_th * (m_k >= v_th)  # H(m - v_th): fires at equality
-        if record:
-            v[k] = v_prev
-    s = sigmoid(alpha * (m - v_th)) if smooth else heaviside(m - v_th)
-    count_macs(2 * I.size, I.size, I.size)  # beta * v and (1 - beta) * I per slot
-    count_spikes("spike_scan", s)
-    if not record:
-        return Tensor(s)
-    psi = surrogate_grad(m - v_th, alpha)
-
-    def bwd(g):
-        g_psi = g * psi
-        keep = 1.0 - v_th * psi  # d v_k / d m_k
-        Gm = np.empty_like(I)  # adjoint of m_k
-        Gv = np.zeros(tail)
-        for k in range(K - 1, -1, -1):
-            Gm[k] = gm_k = g_psi[k] + Gv * keep[k]
-            Gv = beta[k] * gm_k
-        terms = np.empty_like(I)  # (v_{k-1} - I_k) * Gm_k
-        terms[0] = 0.0 - I[0]
-        np.subtract(v[:-1], I[1:], out=terms[1:])
-        terms *= Gm
-        accumulate_grad(current, (1.0 - beta) * Gm)
-        accumulate_grad(eta, np.full_like(eta.data, _eta_grad(dbeta_deta, terms)))
-
-    return make_op(s, (current, eta), bwd)
+    s = _ealif_scan(current, dt, (eta,), v_th, alpha, smooth)
+    count_spikes("spike_scan", s.data)
+    return s

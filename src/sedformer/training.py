@@ -16,8 +16,8 @@ import numpy as np
 
 from .encoder import EventSeries
 from .errors import ConfigError, DataError, NumericsError
-from .model import (ALPHA_STE, ATTENTION_EPS, BATCH_ROWS, TE_SPAN, V_TH, ModelConfig, SedFormer,
-                    batch_ranges)
+from .model import ATTENTION_EPS, TE_SPAN, ModelConfig, SedFormer, batch_ranges
+from .neuron import ALPHA_STE, V_TH
 from .tensor import Tensor, accumulate_grad, assert_finite, make_op, no_grad
 
 
@@ -108,16 +108,17 @@ def flat_metrics(all_errors: np.ndarray) -> dict:
             "n_queries": int(e.size)}
 
 
+# Adam's moment decays and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction over a named parameter dict."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  grad_clip: float | None = None):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
         self.params = dict(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.grad_clip = grad_clip
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -144,7 +145,7 @@ class Adam:
     def step(self) -> None:
         self._clip()
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -154,7 +155,7 @@ class Adam:
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             m_hat = self.m[k] / (1 - b1 ** self.t)
             v_hat = self.v[k] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -162,9 +163,6 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 16
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float | None = None
     seed: int = 0
 
@@ -217,53 +215,55 @@ def train(model: SedFormer, train_items: list[WindowItem],
     if not train_items:
         raise ConfigError("no training items")
     params = model.parameters()
-    opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-               eps=cfg.adam_eps, grad_clip=cfg.grad_clip)
+    opt = Adam(params, lr=cfg.lr, grad_clip=cfg.grad_clip)
     history = []
     best = {"epoch": -1, "val_mse": float("inf"), "params": None, "buffers": None}
     train_series = [item.series for item in train_items]
     try:
-        for epoch in range(cfg.epochs):
-            rng = np.random.default_rng([cfg.seed, epoch])
-            order = rng.permutation(len(train_items))
-            # pooled normalization stats, then gradient steps under those same
-            # frozen stats: per-forward batch stats would tie each window's
-            # scaling to its batch-mates (or normalize away a lone window's
-            # level) and break inference
-            model.calibrate(train_series)
-            epoch_losses = []
-            for start in range(0, len(order), cfg.batch_size):
-                batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
-                opt.zero_grad()
-                batch_loss = 0.0
-                # the runs' gradients add up in .grad; only one run's tape is
-                # alive at a time, since each backward frees its own
-                for run in batch_ranges([item.series for item in batch],
-                                        [item.n_queries for item in batch], BATCH_ROWS):
-                    windows = batch[run.start:run.stop]
-                    preds = model.forward([item.series for item in windows],
-                                          [item.query_times for item in windows])
-                    loss = variate_balanced_mse(preds, [item.targets for item in windows])
-                    loss = loss * (1.0 / len(batch))
-                    assert_finite(loss, "training loss")
-                    loss.backward()
-                    batch_loss += loss.item()
-                opt.step()
-                epoch_losses.append(batch_loss)
-            val = evaluate(model, val_items) if val_items else {"mse": float("nan"),
-                                                                "mae": float("nan")}
-            train_loss = float(np.mean(epoch_losses))
-            if not np.isfinite(train_loss):
-                raise NumericsError("training loss diverged")
-            history.append({"epoch": epoch, "train_loss": train_loss,
-                            "val_mse": val["mse"], "val_mae": val["mae"]})
-            if log is not None:
-                log(f"epoch {epoch}: train_loss={train_loss:.6f} val_mse={val['mse']:.6f}")
-            if val_items and val["mse"] < best["val_mse"]:
-                best = {"epoch": epoch, "val_mse": val["mse"],
-                        "params": {k: p.data.copy() for k, p in params.items()},
-                        "buffers": {k: b.copy() for k, b in model.buffers().items()}}
-    except NumericsError as e:
+        # an overflow, a division by zero or an invalid value is divergence too;
+        # raising it stops the run at its first op instead of printing warnings
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for epoch in range(cfg.epochs):
+                rng = np.random.default_rng([cfg.seed, epoch])
+                order = rng.permutation(len(train_items))
+                # pooled normalization stats, then gradient steps under those same
+                # frozen stats: per-forward batch stats would tie each window's
+                # scaling to its batch-mates (or normalize away a lone window's
+                # level) and break inference
+                model.calibrate(train_series)
+                epoch_losses = []
+                for start in range(0, len(order), cfg.batch_size):
+                    batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
+                    opt.zero_grad()
+                    batch_loss = 0.0
+                    # the runs' gradients add up in .grad; only one run's tape is
+                    # alive at a time, since each backward frees its own
+                    for run in batch_ranges([item.series for item in batch],
+                                            [item.n_queries for item in batch]):
+                        windows = batch[run.start:run.stop]
+                        preds = model.forward([item.series for item in windows],
+                                              [item.query_times for item in windows])
+                        loss = variate_balanced_mse(preds, [item.targets for item in windows])
+                        loss = loss * (1.0 / len(batch))
+                        assert_finite(loss, "training loss")
+                        loss.backward()
+                        batch_loss += loss.item()
+                    opt.step()
+                    epoch_losses.append(batch_loss)
+                val = evaluate(model, val_items) if val_items else {"mse": float("nan"),
+                                                                    "mae": float("nan")}
+                train_loss = float(np.mean(epoch_losses))
+                if not np.isfinite(train_loss):
+                    raise NumericsError("training loss diverged")
+                history.append({"epoch": epoch, "train_loss": train_loss,
+                                "val_mse": val["mse"], "val_mae": val["mae"]})
+                if log is not None:
+                    log(f"epoch {epoch}: train_loss={train_loss:.6f} val_mse={val['mse']:.6f}")
+                if val_items and val["mse"] < best["val_mse"]:
+                    best = {"epoch": epoch, "val_mse": val["mse"],
+                            "params": {k: p.data.copy() for k, p in params.items()},
+                            "buffers": {k: b.copy() for k, b in model.buffers().items()}}
+    except (NumericsError, FloatingPointError) as e:
         # finite parameters on checked data stay finite: the steps diverged
         raise ConfigError(f"training diverged ({e}): lower lr (now {cfg.lr:g}) or set a "
                           f"smaller grad_clip (now {cfg.grad_clip})") from e

@@ -9,9 +9,12 @@ gradients against it:
 - ``concat_decoder``: the ``Decoder`` MLP over concatenated
   ``[summary, time embedding]`` query rows, three ``linear`` layers.
 - ``lif_step`` / ``ealif_step`` (with ``LifConfig`` / ``EaLifConfig``):
-  one neuron update per call, the reference for the event-driven scans and
-  for criterion 2; ``tau_from_eta`` is their tau = softplus(eta) + 1, which
-  the scans compute on raw arrays (``neuron._beta_and_chain``).
+  one neuron update per call, the reference for ``neuron._ealif_scan``
+  (the kernel behind ``ealif_spike_scan`` and ``ealif_filter``) and for
+  criterion 2; ``tau_from_eta`` is their tau = softplus(eta) + 1, which
+  the scan computes on raw arrays (``neuron._beta_and_chain``).
+- ``event_raster``: the raster's event-driven reference neuron as a scalar
+  loop over the stamps, for any tau > 0.
 - ``count_ann_layer``: the op counts of one dense layer written out as a
   formula, the reference that ``energy.dense_counts`` of a measured
   ``linear`` must reproduce.
@@ -179,6 +182,19 @@ def ealif_step(v_prev: Tensor, current: Tensor, dt: float, cfg: EaLifConfig,
     s = spike(m - cfg.v_th, alpha=cfg.alpha_ste, smooth=smooth)
     v = m - s * cfg.v_th
     return m, s, v
+
+
+def event_raster(t: np.ndarray, x: np.ndarray, tau: float, v_th: float, gamma: float,
+                 theta: float) -> np.ndarray:
+    """Spikes of ``data.baseline_encoders``' "event" row, one scalar update per stamp:
+    m = beta * v + (1 - beta) * gamma * (x - theta) with beta = exp(-dt / tau)."""
+    beta = np.exp(-np.diff(t, prepend=t[0]) / tau)
+    spikes, v = np.zeros(t.size), 0.0
+    for k in range(t.size):
+        m = beta[k] * v + (1.0 - beta[k]) * gamma * (x[k] - theta)
+        spikes[k] = 1.0 if m >= v_th else 0.0
+        v = m - v_th * spikes[k]
+    return spikes
 
 
 # -- energy ------------------------------------------------------------------------

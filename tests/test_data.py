@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import event_raster
 from sedformer.data import (HISTORY_DAYS, HORIZON_DAYS, WINDOW_DAYS, CleanConfig,
                             Standardizer, SuiteConfig, VizConfig, baseline_encoders,
                             clean_series, lagrange_fill, load_csv, mad_smooth,
@@ -273,3 +274,16 @@ def test_viz_series_structure():
     assert data["t_grid"].size == cfg.grid_size
     enc = baseline_encoders(data, cfg)
     assert set(enc) == {"delta", "conv", "event"}
+
+
+@pytest.mark.parametrize("tau,v_th,gamma", [(2.0, 0.5, 1.0), (0.5, 0.3, 2.0), (7.0, 0.1, 0.5)])
+def test_event_raster_equals_scalar_reference(tau, v_th, gamma):
+    """The raster's event row, through the neuron's shared recurrence, equals
+    the scalar per-stamp loop bitwise, also for tau <= 1 (which has no eta)."""
+    for seed in range(5):
+        cfg = VizConfig(seed=seed, tau=tau, v_th=v_th, gamma=gamma)
+        data = synth_viz_series(cfg)
+        _, s = baseline_encoders(data, cfg)["event"]
+        expected = event_raster(data["t_irr"], data["x_irr"], tau, v_th, gamma,
+                                cfg.delta_threshold)
+        assert np.array_equal(s, expected)

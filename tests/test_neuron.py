@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,48 @@ def test_spike_scan_outputs_binary_in_hard_mode(rng):
     dt = rng.uniform(0.1, 2.0, size=30)
     s = ealif_spike_scan(x, dt, Tensor(np.array(0.5)), 1.0, 4.0, smooth=False)
     assert set(np.unique(s.data)).issubset({0.0, 1.0})
+
+
+@pytest.mark.parametrize("kind", ["filter", "hard", "smooth"])
+@pytest.mark.parametrize("batched", [False, True], ids=["K_gaps", "KB_gaps"])
+@pytest.mark.parametrize("K", [1, 6])
+def test_scans_match_per_step_oracle_on_short_windows_and_huge_gaps(K, batched, kind):
+    """One-event windows and gaps up to 1e6, where beta underflows to 0: each
+    scan's output matches the per-step oracle, and its gradients are finite
+    (no numpy warning) and match the oracle's."""
+    rng = np.random.default_rng(K)
+    B, C = 3, 4
+    gaps = rng.choice([0.0, 0.4, 2.0, 1e3, 1e6], size=(K, B))
+    gaps[0] = [1e6, 0.7, 0.0]
+    x = rng.normal(size=(K, B, C)) * 2.0
+    g = rng.normal(size=x.shape)
+    dt = gaps if batched else gaps[:, 0]
+    xs, eta = parameter(x), parameter(np.array(eta_for_tau(2.0)))
+    xo, eta_o = parameter(x), parameter(np.array(eta_for_tau(2.0)))
+    cfg = EaLifConfig(eta=eta_o, v_th=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "filter":
+            out = ealif_filter(xs, dt, eta)
+        else:
+            out = ealif_spike_scan(xs, dt, eta, 1.0, 4.0, smooth=kind == "smooth")
+        (out * Tensor(g)).sum().backward()
+        loss = Tensor(np.array(0.0))
+        for b in range(B):
+            v = Tensor(np.zeros(C))
+            for k in range(K):
+                gap = gaps[k, b] if batched else gaps[k, 0]
+                if kind == "filter":
+                    beta = ealif_leak(gap, eta_o)
+                    v = step = v * beta + xo[k, b] * (1.0 - beta)
+                else:
+                    _, step, v = ealif_step(v, xo[k, b], gap, cfg, smooth=kind == "smooth")
+                if kind == "hard":
+                    assert np.array_equal(out.data[k, b], step.data)
+                else:
+                    assert np.allclose(out.data[k, b], step.data, rtol=1e-12, atol=1e-12)
+                loss = loss + (step * Tensor(g[k, b])).sum()
+        loss.backward()
+    assert np.all(np.isfinite(xs.grad)) and np.isfinite(float(eta.grad))
+    assert np.allclose(xs.grad, xo.grad, rtol=1e-10, atol=1e-12)
+    assert float(eta.grad) == pytest.approx(float(eta_o.grad), rel=1e-9, abs=1e-12)

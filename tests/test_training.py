@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_series
 from sedformer import SuiteConfig, synth_suite
-from sedformer import training as training_mod
+from sedformer import model as model_mod
 from sedformer.data import WindowItem
 from sedformer.encoder import EventSeries
 from sedformer.errors import ConfigError
@@ -282,7 +282,7 @@ def test_batched_minibatch_step_matches_one_window_steps(monkeypatch):
     runs = []
     forward = batched.forward
     monkeypatch.setattr(batched, "forward", lambda s, q: runs.append(len(s)) or forward(s, q))
-    monkeypatch.setattr(training_mod, "BATCH_ROWS", 150)
+    monkeypatch.setattr(model_mod, "BATCH_ROWS", 150)
     train(batched, items, [], TrainConfig(epochs=1, batch_size=len(items), lr=1e-2))
     assert len(runs) >= 2 and max(runs) > 1
     _one_window_step(single, items, lr=1e-2)
@@ -395,3 +395,15 @@ def test_checkpoint_with_retired_config_fields(tmp_path, rng):
     path.write_text(json.dumps(blob))
     with pytest.raises(ConfigError, match="bogus"):
         load_checkpoint(str(path))
+
+
+def test_diverging_run_is_a_config_error_without_numpy_warnings():
+    """A step size that sends the parameters to ~1e300 overflows the next
+    forward: the run ends in the lr/grad_clip error at the first overflow,
+    not after numpy's RuntimeWarnings."""
+    rng = np.random.default_rng(3)
+    items = [make_item(rng) for _ in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="lower lr .* grad_clip"):
+            train(SedFormer(small_config()), items, items[:2], TrainConfig(epochs=2, lr=1e300))
