@@ -3,12 +3,13 @@ import pytest
 
 from conftest import gradcheck, random_series
 from oracles import concat_decoder
+from sedformer import neuron
 from sedformer.encoder import EventSeries
 from sedformer.energy import model_energy_report
 from sedformer.errors import ConfigError, DataError
 from sedformer.model import ModelConfig, SedFormer, query_mlp
 from sedformer.tensor import BatchNorm, Tensor, concat, parameter
-from sedformer.training import Adam, WindowItem, variate_balanced_mse
+from sedformer.training import Adam, WindowItem, evaluate, variate_balanced_mse
 
 
 def small_config(**kw):
@@ -33,6 +34,40 @@ def test_config_validation():
         small_config(tau_init=0.5)
     with pytest.raises(ConfigError):
         small_config(pool_stride=0)
+
+
+def test_event_spike_path_changes_no_output_bit(rng, monkeypatch):
+    """Lone windows of at least ``EVENT_PATH_MIN_K`` events take the
+    event-driven spike path in ``calibrate``, ``predict`` and ``evaluate``
+    (each of these windows fills a batch alone); with the path off every
+    buffer, prediction and the MSE are bitwise the same."""
+    windows = [random_series(rng, n_events=k) for k in (400, 700, 150)]
+    items = [WindowItem(series=s, query_times=[np.sort(rng.uniform(91.0, 120.0, size=2))] * 3,
+                        targets=[rng.normal(size=2)] * 3) for s in windows]
+    rasters = []
+    event_path = neuron._spike_raster
+
+    def recorded(*args):
+        rasters.append(event_path(*args))
+        return rasters[-1]
+
+    def run():
+        model = SedFormer(small_config())
+        model.calibrate(windows)
+        return ([b.copy() for b in model.buffers().values()],
+                [p for it in items for p in model.predict(it.series, it.query_times)],
+                evaluate(model, items)["mse"])
+
+    monkeypatch.setattr(neuron, "_spike_raster", recorded)
+    on = run()
+    assert len(rasters) == 3 * len(windows)  # calibrate, predict, evaluate
+    assert all(r is not None for r in rasters) and any(r.any() for r in rasters)
+    monkeypatch.setattr(neuron, "EVENT_PATH_MIN_K", 10 ** 9)
+    off = run()
+    assert len(rasters) == 3 * len(windows)
+    for a, b in zip(on[0] + on[1], off[0] + off[1]):
+        assert a.tobytes() == b.tobytes()
+    assert on[2] == off[2]
 
 
 def test_forward_shapes(rng):

@@ -6,7 +6,8 @@ import pytest
 from conftest import gradcheck
 from oracles import EaLifConfig, LifConfig, ealif_leak, ealif_step, lif_step, tau_from_eta
 from sedformer.errors import ConfigError, DataError, ShapeError
-from sedformer.neuron import (_eta_grad, ealif_filter, ealif_spike_scan, eta_for_tau,
+from sedformer import neuron
+from sedformer.neuron import (TAU_MAX, _eta_grad, ealif_filter, ealif_spike_scan, eta_for_tau,
                               heaviside, surrogate_grad)
 from sedformer.tensor import Tensor, parameter
 
@@ -244,3 +245,124 @@ def test_scans_match_per_step_oracle_on_short_windows_and_huge_gaps(K, batched, 
     assert np.all(np.isfinite(xs.grad)) and np.isfinite(float(eta.grad))
     assert np.allclose(xs.grad, xo.grad, rtol=1e-10, atol=1e-12)
     assert float(eta.grad) == pytest.approx(float(eta_o.grad), rel=1e-9, abs=1e-12)
+
+
+# -- the event-driven spike path -------------------------------------------------------
+
+
+def _scan_both_ways(monkeypatch, x, dt, eta):
+    """The hard raster of ``ealif_spike_scan`` as selected, how many step
+    loops that ran, and the raster of the step loop alone."""
+    loops = []
+    loop = neuron.ealif_recurrence
+    with monkeypatch.context() as mp:
+        mp.setattr(neuron, "ealif_recurrence", lambda *a, **k: loops.append(1) or loop(*a, **k))
+        s = ealif_spike_scan(Tensor(x), dt, Tensor(np.array(eta))).data
+    with monkeypatch.context() as mp:
+        mp.setattr(neuron, "EVENT_PATH_MIN_K", 10 ** 9)
+        ref = ealif_spike_scan(Tensor(x), dt, Tensor(np.array(eta))).data
+    return s, len(loops), ref
+
+
+# K, tau, gaps, drive: "quiet" never reaches v_th, "bursts" adds runs of
+# events that drive m past 2 v_th, which fire on consecutive steps
+EVENT_CASES = [
+    (128, 2.0, "mixed", "normal"), (127, 2.0, "mixed", "normal"),
+    (300, 1.0 + 1e-9, "short", "normal"), (300, TAU_MAX, "mixed", "normal"),
+    (2000, 2.0, "mixed", "normal"), (2000, 1.0 + 1e-9, "short", "bursts"),
+    (2000, TAU_MAX, "short", "normal"), (700, 2.0, "huge", "bursts"),
+    (2000, 1.0 + 1e-9, "mixed", "bursts"), (500, 5.0, "mixed", "quiet"),
+    (1000, 40.0, "mixed", "normal"),
+]
+
+
+@pytest.mark.parametrize("lone_batch", [False, True], ids=["K_gaps", "K1_gaps"])
+@pytest.mark.parametrize("case", range(len(EVENT_CASES)))
+def test_event_path_rasters_equal_the_step_loop(case, lone_batch, monkeypatch):
+    """On lone windows of 128 events or more the hard raster comes from the
+    event path, bitwise the step loop's, with gaps of 0 and 1e6, tau at both
+    ends of its range, no firing and saturated bursts; at 127 the loop runs."""
+    K, tau, gaps, drive = EVENT_CASES[case]
+    rng = np.random.default_rng(case)
+    dt = rng.uniform(0.0, 2.0 if gaps == "mixed" else 0.05, size=K)
+    dt[rng.uniform(size=K) < 0.2] = 0.0
+    dt[rng.choice(K, size=3 if gaps == "huge" else 1)] = 1e6
+    x = rng.normal(size=(K, 3, 4)) * (1.0 if drive == "normal" else 0.3)
+    if drive == "bursts":  # some straddle segment ends
+        for start in rng.choice(K - 8, size=max(4, K // 200), replace=False):
+            x[start:start + 8, rng.integers(3), rng.integers(4)] = rng.uniform(4.0, 8.0) * tau
+            dt[start + 1:start + 8] = 1.0
+    if lone_batch:
+        x, dt = x[:, None], dt[:, None]
+    s, loops, ref = _scan_both_ways(monkeypatch, x, dt, eta_for_tau(tau))
+    assert np.array_equal(s, ref)
+    assert loops == (K < neuron.EVENT_PATH_MIN_K)
+    if drive == "quiet":
+        assert not ref.any()
+    if drive == "bursts":  # consecutive spikes of one channel
+        assert np.any(ref[1:] * ref[:-1])
+
+
+def _tie_at(x, dt, eta, j):
+    """x with row j chosen so that the loop's membrane m_j lies as near
+    v_th = 1 as the drive can put it (on it, in most channels)."""
+    beta = np.exp(-dt / (float(np.log1p(np.exp(eta))) + 1.0))
+    _, v = neuron.ealif_recurrence(beta[:j, None], (1.0 - beta[:j, None]) * x[:j], 1.0,
+                                   keep_v=True)
+    x = x.copy()
+    b = float(beta[j])
+    for c, prev in enumerate(v[-1].tolist()):
+        xc = (1.0 - b * prev) / (1.0 - b)
+        near = [xc + k * np.spacing(xc) for k in range(-8, 9)]
+        x[j, c] = min(near, key=lambda xk: abs(b * prev + (1.0 - b) * xk - 1.0))
+    return x
+
+
+def _guard_cases():
+    """Lone windows the event path must hand to the loop: membranes on (or
+    one rounding step from) v_th, drives near 1e300, a non-finite gap or
+    drive, and a channel that fires on every step (too many rounds)."""
+    rng = np.random.default_rng(11)
+    eta = eta_for_tau(2.0)
+    K = 200
+    dt = rng.uniform(0.1, 2.0, size=K)
+    x = rng.normal(size=(K, 4))
+    nan_gap = dt.copy()
+    nan_gap[150] = np.nan
+    nan_x = x.copy()
+    nan_x[40, 1] = np.nan
+    busy = x.copy()
+    busy[:, 3] = 50.0
+    return {"tie": (_tie_at(x, dt, eta, 90), dt, eta), "huge": (x * 1e300, dt, eta),
+            "nan_gap": (x, nan_gap, eta), "nan_x": (nan_x, dt, eta), "busy": (busy, dt, eta)}
+
+
+@pytest.mark.parametrize("name", ["tie", "huge", "nan_gap", "nan_x", "busy"])
+def test_event_path_falls_back_to_the_loop(name, monkeypatch):
+    x, dt, eta = _guard_cases()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, loops, ref = _scan_both_ways(monkeypatch, x, dt, eta)
+    assert loops == 1
+    assert np.array_equal(s, ref)
+    if name == "tie":
+        assert ref[90].sum() >= 3  # the membranes exactly on v_th fire: H(0) = 1
+
+
+@pytest.mark.parametrize("name", ["tie", "huge", "nan_gap", "nan_x", "busy"])
+def test_event_path_raises_only_what_the_loop_raises(name, monkeypatch):
+    """Under np.errstate(all="raise"), as in training's calibrate and
+    validation passes, the selected path ends as the loop alone does."""
+    x, dt, eta = _guard_cases()[name]
+
+    def outcome(min_k):
+        with monkeypatch.context() as mp, np.errstate(all="raise"):
+            mp.setattr(neuron, "EVENT_PATH_MIN_K", min_k)
+            try:
+                return ealif_spike_scan(Tensor(x), dt, Tensor(np.array(eta))).data
+            except FloatingPointError as exc:
+                return str(exc)
+
+    got, want = outcome(neuron.EVENT_PATH_MIN_K), outcome(10 ** 9)
+    assert type(got) is type(want)
+    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
