@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .neuron import ealif_filter, eta_for_tau_init
-from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, concat, count_macs, fold_map,
+from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, concat, count_macs, fold,
                      fold_once, linear, make_op, parameter, scope, softplus)
 
 
@@ -133,8 +133,8 @@ class SedAttention(Module):
     (pooled steps per window, see ``window_lengths``) keeps every window's
     sums to its own tokens; pads are masked out of ``KV`` and ``k_sum``.
     ``norm`` is a normalizer in front of the block (``Block.bn1``); it and
-    bn_q/k/v fold into the projections (``tensor.linear``), once for all
-    forwards that do not record (``tensor.fold_once``).
+    bn_q/k/v fold into the projections' weight and bias (``tensor.fold``),
+    once for all forwards that do not record (``tensor.fold_once``).
     """
 
     def __init__(self, dim: int, heads: int, tau_init: float = 2.0,
@@ -167,7 +167,7 @@ class SedAttention(Module):
             x = x if norm is None else norm(x, lengths)
             z = concat([bn(linear(x, w), lengths) for w, bn in zip(ws, bns)], axis=-1)
         else:  # q, k and v from one product, every normalizer folded in
-            z = linear(x, *fold_once(self, (*ws, *bns, norm), lambda: fold_map(
+            z = linear(x, *fold_once(self, (*ws, *bns, norm), lambda: fold(
                 concat(list(ws), axis=1), pre=None if norm is None else norm.scale_shift(),
                 post=tuple(concat(list(t)) for t in zip(*(bn.scale_shift() for bn in bns))))))
         qkv = ealif_filter(z, gaps, (self.eta_q, self.eta_k, self.eta_v))
@@ -182,7 +182,8 @@ class FeedForward(Module):
     """Continuous position-wise MLP: d -> 2d -> rectifier -> d.
 
     ``norm`` is a normalizer in front of it (``Block.bn2``), folded into
-    the first layer.
+    the first layer's weight and bias (``tensor.fold``), once for all
+    forwards that do not record (``tensor.fold_once``).
     """
 
     def __init__(self, dim: int, seed: int = 0):
@@ -198,7 +199,7 @@ class FeedForward(Module):
         if norm is not None and norm.accumulating:  # its moments need the raw input
             h = linear(norm(x, lengths), self.w1, self.b1)
         else:
-            h = linear(x, *fold_once(self, (self.w1, self.b1, norm), lambda: fold_map(
+            h = linear(x, *fold_once(self, (self.w1, self.b1, norm), lambda: fold(
                 self.w1, self.b1, pre=None if norm is None else norm.scale_shift())))
         return linear(h.relu(), self.w2, self.b2)
 

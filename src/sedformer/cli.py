@@ -222,7 +222,13 @@ def _load_model_and_scaler(ckpt_path: str):
     scaler = None
     if os.path.exists(scaler_path):
         with open(scaler_path) as f:
-            scaler = data_mod.Standardizer.from_dict(json.load(f))
+            try:
+                scaler = data_mod.Standardizer.from_dict(json.load(f))
+            except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as e:
+                raise ConfigError(f"scaler {scaler_path}: malformed content: {e!r}") from None
+        if scaler.mean.size != model.config.n_variates:
+            raise ConfigError(f"scaler {scaler_path} has {scaler.mean.size} variates, the "
+                              f"checkpoint's model {model.config.n_variates}")
     return model, scaler
 
 

@@ -360,8 +360,11 @@ class Standardizer:
     def __init__(self, mean: np.ndarray, std: np.ndarray):
         self.mean = np.asarray(mean, dtype=np.float64)
         self.std = np.asarray(std, dtype=np.float64)
-        if np.any(self.std <= 0):
-            raise ConfigError("standardizer needs positive scales")
+        if self.mean.ndim != 1 or self.std.shape != self.mean.shape:
+            raise ConfigError(f"standardizer needs one mean and one scale per variate, got "
+                              f"shapes {self.mean.shape} and {self.std.shape}")
+        if not (np.all(np.isfinite(self.mean)) and np.all((self.std > 0) & (self.std < np.inf))):
+            raise ConfigError("standardizer needs finite means and positive, finite scales")
 
     @classmethod
     def fit(cls, items: list[WindowItem]) -> "Standardizer":
@@ -585,10 +588,10 @@ def baseline_encoders(data: dict, cfg: VizConfig) -> dict:
     # so beta comes from tau directly
     t_irr = np.asarray(data["t_irr"], dtype=np.float64)
     x_irr = np.asarray(data["x_irr"], dtype=np.float64)
-    beta = np.exp(-event_gaps(t_irr) / cfg.tau)
-    m, _ = ealif_recurrence(beta, (1.0 - beta) * cfg.gamma * (x_irr - cfg.delta_threshold),
-                            cfg.v_th)
-    e_spk = heaviside(m - cfg.v_th)
+    beta = np.exp(-event_gaps(t_irr) / cfg.tau)[:, None]  # one channel: [K, 1]
+    drive = (1.0 - beta) * cfg.gamma * (x_irr[:, None] - cfg.delta_threshold)
+    m, _ = ealif_recurrence(beta, drive, cfg.v_th)
+    e_spk = heaviside(m[:, 0] - cfg.v_th)
     return {"delta": (t_grid, d_spk), "conv": (t_grid, c_spk), "event": (t_irr, e_spk)}
 
 

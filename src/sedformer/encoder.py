@@ -208,6 +208,10 @@ class SedSeEncoder(Module):
         dt_hat = (Tensor(np.asarray(gaps, dtype=np.float64)) / rho).log1p()
         return (dt_hat * self.gate_a + self.gate_b).sigmoid()
 
+    def _folded_kernels(self) -> tuple[Tensor, Tensor]:
+        scale, shift = self.bn.scale_shift()
+        return self.kernels * scale.reshape(-1, 1), shift
+
     def drive_current(self, series: EventSeries | EventBatch) -> tuple[Tensor, np.ndarray]:
         """Input current I [K, D, C] to the spiking scan, plus gaps [K].
 
@@ -222,8 +226,8 @@ class SedSeEncoder(Module):
                 x_loc = self.bn(depthwise_conv1d(observed, self.kernels),
                                 window_lengths(series.mask))
             else:  # the frozen map folds into the kernels (scale per channel) plus a shift
-                scale, shift = fold_once(self, (self.bn,), self.bn.scale_shift)
-                x_loc = depthwise_conv1d(observed, self.kernels * scale.reshape(-1, 1)) + shift
+                kernels, shift = fold_once(self, (self.kernels, self.bn), self._folded_kernels)
+                x_loc = depthwise_conv1d(observed, kernels) + shift
         gaps = event_gaps(series.times, first_gap=self.first_gap)
         with scope("dynamics"):
             s = self.gate(gaps).reshape(gaps.shape + (1, 1))

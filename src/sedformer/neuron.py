@@ -113,11 +113,8 @@ def ealif_recurrence(beta: np.ndarray, drive: np.ndarray, v_th: float | None = N
     s_k = H(m_k - v_th), or sigmoid(alpha * (m_k - v_th)) if ``smooth``.
     Returns (m, v): v is m itself without a threshold, the post-reset
     states with one and ``keep_v``, else None. Each step writes into its
-    output row; a 1-D drive (one channel) runs as [K, 1].
+    output row.
     """
-    if drive.ndim == 1:
-        m, v = ealif_recurrence(beta.reshape(-1, 1), drive[:, None], v_th, alpha, smooth, keep_v)
-        return m[:, 0], None if v is None else v[:, 0]
     m = np.empty_like(drive)
     v = m if v_th is None else np.empty_like(drive) if keep_v else None
     post = np.empty(drive.shape[1:]) if v_th is not None and not keep_v else None
@@ -239,7 +236,7 @@ def _ealif_scan(x: Tensor, dt: np.ndarray, etas: tuple[Tensor, ...], v_th: float
     if E > 1 and (x.ndim <= dt.ndim or x.shape[-1] % E):
         raise ShapeError(f"{E} stacked filters need a last axis of {E} equal blocks, "
                          f"got {x.shape}")
-    if np.any(dt < 0):
+    if not np.all(dt >= 0):  # NaN too
         raise DataError("event gaps must be nonnegative")
     xv = x.data if x.ndim > 1 else x.data[:, None]  # each step a row the loops write into
     if E > 1:

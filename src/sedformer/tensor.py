@@ -9,8 +9,9 @@ frees the recorded graph as it goes).
 Only what the model needs is implemented: matmul (2-D or batched),
 elementwise arithmetic with numpy broadcasting, reductions, reshapes, axis
 permutation, slicing, the activation zoo, depthwise 1-D convolution, a
-linear map with per-channel affine maps folded in (``fold_once`` keeps the
-folds between forwards that do not record), and batch normalization.
+linear map, the fold of per-channel affine maps into its weight and bias
+(``fold``, made of the ops above; ``fold_once`` keeps the folds between
+forwards that do not record), and batch normalization.
 ``Module`` derives a model part's named state from its attributes;
 ``mac_counter`` and ``scope`` count the ops' forward work per named model
 part.
@@ -562,79 +563,53 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     return _op(out, (x, kernels), bwd)
 
 
-def linear(x: Tensor, w: Tensor, bias: Tensor | None = None,
-           pre: tuple[Tensor, Tensor] | None = None,
-           post: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """``((x * a + c) @ w + bias) * p + r`` over the last axis, as one op.
+def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ w + bias`` over the last axis, as one op.
 
-    x: [..., n]; w: [n, m]. ``pre = (a, c)`` ([n] each) and ``post =
-    (p, r)`` ([m] each) are per-channel scales and shifts, such as a frozen
-    ``BatchNorm.scale_shift``; they and ``bias`` [m] are optional. They
-    fold into one weight and one shift,
-        w' = diag(a) w diag(p),    b' = (c @ w + bias) * p + r,
-    so the op does one matmul and the tape holds only its output. The
-    backward gets every parameter gradient from the one product x^T g.
+    x: [..., n]; w: [n, m]; bias: [m] or None. The backward takes the
+    weight gradient from the one product x^T g.
     """
     x, w = _coerce(x), _coerce(w)
     n, m = w.shape
     if x.shape[-1] != n:
         raise ShapeError(f"linear map takes {n} inputs, got {x.shape}")
-    wd = w.data
-    a, c = (t.data for t in pre) if pre else (None, None)
-    p, r = (t.data for t in post) if post else (None, None)
-    w_fold, cb, shift = _fold(w, bias, pre, post)
-    out = x.data.reshape(-1, n) @ w_fold
-    if shift is not None:
-        out += shift
-    count_macs(out.size * n, x.data.size + wd.size, out.size)
-    parents = (x, w) + ((bias,) if bias is not None else ()) + (pre or ()) + (post or ())
+    xd, wd = x.data.reshape(-1, n), w.data
+    out = xd @ wd
+    if bias is not None:
+        out += bias.data
+    count_macs(out.size * n, xd.size + wd.size, out.size)
+    parents = (x, w) if bias is None else (x, w, bias)
 
     def bwd(g):
         g2 = g.reshape(-1, m)
         if x.requires_grad:
-            _accum(x, (g2 @ w_fold.T).reshape(x.shape))
-        if not any(t.requires_grad for t in parents[1:]):
-            return
-        gs = g2.sum(axis=0)
-        gp = gs if p is None else gs * p  # gradient of cb
-        g_fold = x.data.reshape(-1, n).T @ g2  # gradient of w'
+            _accum(x, (g2 @ wd.T).reshape(x.shape))
         if w.requires_grad:
-            gw = g_fold if p is None else g_fold * p
-            _accum(w, gw if a is None else gw * a[:, None] + np.outer(c, gp))
-        if bias is not None:
-            _accum(bias, gp)
-        if pre:
-            gwa = g_fold * wd if p is None else (g_fold * wd) * p
-            _accum(pre[0], gwa.sum(axis=1))
-            _accum(pre[1], wd @ gp)
-        if post:
-            gwp = g_fold * wd if a is None else (g_fold * wd) * a[:, None]
-            _accum(post[0], gwp.sum(axis=0) if cb is None else gwp.sum(axis=0) + gs * cb)
-            _accum(post[1], gs)
+            _accum(w, xd.T @ g2)
+        if bias is not None and bias.requires_grad:
+            _accum(bias, g2.sum(axis=0))
 
     return _op(out.reshape(x.shape[:-1] + (m,)), parents, bwd)
 
 
-def _fold(w: Tensor, bias, pre, post) -> tuple:
-    """``linear``'s folded weight and shifts as arrays: (w', cb, b'), cb before p."""
-    w_fold, cb = w.data, None if bias is None else bias.data
+def fold(w: Tensor, bias: Tensor | None = None, pre: tuple[Tensor, Tensor] | None = None,
+         post: tuple[Tensor, Tensor] | None = None) -> tuple[Tensor, Tensor | None]:
+    """``linear``'s weight and bias with per-channel maps folded in, as tape ops.
+
+    ``pre = (a, c)`` ([n] each) and ``post = (p, r)`` ([m] each) are scales
+    and shifts, such as a frozen ``BatchNorm.scale_shift``; they and
+    ``bias`` [m] are optional. ``linear(x, *fold(w, bias, pre, post))``
+    equals ``linear(x * a + c, w, bias) * p + r`` with
+        w' = diag(a) w diag(p),    b' = (c @ w + bias) * p + r.
+    """
+    shift = bias
     if pre:
-        a, c = (t.data for t in pre)
-        w_fold, cb = a[:, None] * w.data, c @ w.data if cb is None else c @ w.data + cb
-    shift = cb
+        a, c = pre
+        w, shift = a.reshape(-1, 1) * w, linear(c, w, bias)
     if post:
-        p, r = (t.data for t in post)
-        w_fold, shift = w_fold * p, r if cb is None else cb * p + r
-    return w_fold, cb, shift
-
-
-def fold_map(w: Tensor, bias: Tensor | None = None, pre=None, post=None) -> tuple:
-    """``linear``'s arguments after x: as given while one records, else one
-    constant weight and shift with ``pre`` and ``post`` folded in."""
-    if is_recording(*(t for t in (w, bias, *(pre or ()), *(post or ())) if t is not None)):
-        return w, bias, pre, post
-    w_fold, _, shift = _fold(w, bias, pre, post)
-    return Tensor(w_fold), None if shift is None else Tensor(shift), None, None
+        p, r = post
+        w, shift = w * p, r if shift is None else shift * p + r
+    return w, shift
 
 
 def stats_written() -> None:
@@ -642,21 +617,32 @@ def stats_written() -> None:
     _STATS_WRITES[0] += 1
 
 
-def fold_once(owner, sources: tuple, fold):
-    """``fold()``: what ``owner`` folds from ``sources`` (Tensors; a BatchNorm
+def fold_once(owner, sources: tuple, make):
+    """``make()``: what ``owner`` folds from ``sources`` (Tensors; a BatchNorm
     stands for its gamma and beta; None is skipped). A recording forward
     folds on the tape every call; any other keeps the value on ``owner``
     while every source array is the same object (``Adam.step``, ``load_state``
-    and ``p.data = ...`` rebind) and no statistics were written."""
+    and ``p.data = ...`` rebind) and no statistics were written. Folding is
+    not per-window work, so no open ``mac_counter`` counts it."""
     tensors = [t for s in sources if s is not None
                for t in ((s.gamma, s.beta) if isinstance(s, BatchNorm) else (s,))]
     if is_recording(*tensors):
-        return fold()
+        return _unbilled(make)
     key = (_STATS_WRITES[0], *(t.data for t in tensors))
     kept = vars(owner).get("_folded")
     if kept is None or len(kept[0]) != len(key) or any(a is not b for a, b in zip(kept[0], key)):
-        kept = owner._folded = (key, fold())
+        kept = owner._folded = (key, _unbilled(make))
     return kept[1]
+
+
+def _unbilled(make):
+    """``make()`` with every open ``mac_counter`` paused."""
+    counters = _MAC_COUNTERS[:]
+    _MAC_COUNTERS.clear()
+    try:
+        return make()
+    finally:
+        _MAC_COUNTERS[:] = counters
 
 
 class Module:
@@ -770,15 +756,8 @@ class BatchNorm(Module):
     def scale_shift(self) -> tuple[Tensor, Tensor]:
         """The frozen map as ``x * s + t``: s = gamma / sqrt(var + eps) and
         t = beta - mean * s, as tape ops on gamma and beta."""
-        gamma, beta, mean = self.gamma, self.beta, self.running_mean
-        inv = (self.running_var + self.eps) ** -0.5
-        s = _op(gamma.data * inv, (gamma,), lambda g: _accum(gamma, g * inv))
-
-        def shift_bwd(g):
-            _accum(gamma, -g * mean * inv)
-            _accum(beta, g)
-
-        return s, _op(beta.data - s.data * mean, (gamma, beta), shift_bwd)
+        s = self.gamma * (self.running_var + self.eps) ** -0.5
+        return s, self.beta - s * self.running_mean
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {"running_mean": self.running_mean, "running_var": self.running_var}

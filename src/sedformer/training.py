@@ -341,21 +341,24 @@ def load_checkpoint(path: str) -> SedFormer:
         raise ConfigError(f"checkpoint {path}: expected a JSON object, got {type(blob).__name__}")
     if blob.get("version") != 1:
         raise ConfigError(f"unsupported checkpoint version: {blob.get('version')!r}")
-    config = dict(blob["config"])
-    # retired ModelConfig fields of older checkpoints: the first two never change a
-    # prediction; the rest load only at the value this version fixes
-    config.pop("bn_momentum", None)
-    config.pop("smooth_spikes", None)
-    fixed = {"share_time_embedding": True, "v_th": V_TH, "alpha_ste": ALPHA_STE,
-             "te_span": TE_SPAN, "attention_eps": ATTENTION_EPS}
-    for name, value in fixed.items():
-        if config.pop(name, value) != value:
-            raise ConfigError(f"checkpoint sets {name}={blob['config'][name]!r}; this "
-                              f"version supports only {value!r}")
-    model = SedFormer(ModelConfig.from_dict(config))
-    params = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
-              for k, v in blob["params"].items()}
-    buffers = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
-               for k, v in blob["buffers"].items()}
-    model.load_state(params, buffers)
-    return model
+    try:
+        config = dict(blob["config"])
+        # retired ModelConfig fields of older checkpoints: the first two never change a
+        # prediction; the rest load only at the value this version fixes
+        config.pop("bn_momentum", None)
+        config.pop("smooth_spikes", None)
+        fixed = {"share_time_embedding": True, "v_th": V_TH, "alpha_ste": ALPHA_STE,
+                 "te_span": TE_SPAN, "attention_eps": ATTENTION_EPS}
+        for name, value in fixed.items():
+            if config.pop(name, value) != value:
+                raise ConfigError(f"checkpoint sets {name}={blob['config'][name]!r}; this "
+                                  f"version supports only {value!r}")
+        model = SedFormer(ModelConfig.from_dict(config))
+        params = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
+                  for k, v in blob["params"].items()}
+        buffers = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
+                   for k, v in blob["buffers"].items()}
+        model.load_state(params, buffers)
+        return model
+    except (AttributeError, KeyError, TypeError, ValueError) as e:  # a field of the wrong kind
+        raise ConfigError(f"checkpoint {path}: malformed content: {e!r}") from None

@@ -256,6 +256,46 @@ def test_malformed_meta_json_exits_2(tmp_path, workdir, capsys, meta):
         assert "Traceback" not in err
 
 
+def _set(blob: dict, keys: list, value) -> str:
+    """``blob`` as JSON after ``blob[keys[0]][keys[1]]... = value``."""
+    inner = blob
+    for k in keys[:-1]:
+        inner = inner[k]
+    inner[keys[-1]] = value
+    return json.dumps(blob)
+
+
+MALFORMED_RUN_FILES = [  # (id, file, its new text from the trained run's parsed file)
+    ("scaler-not-json", "scaler.json", lambda blob: "{bad"),
+    ("scaler-without-std", "scaler.json", lambda blob: json.dumps({"mean": blob["mean"]})),
+    ("scaler-two-variates", "scaler.json",
+     lambda blob: json.dumps({"mean": [0, 0], "std": [1, 1]})),
+    ("scaler-infinite-scale", "scaler.json", lambda blob: _set(blob, ["std", 0], float("inf"))),
+    ("checkpoint-version-only", "checkpoint.json", lambda blob: '{"version": 1}'),
+    ("shape-disagrees", "checkpoint.json",
+     lambda blob: _set(blob, ["params", "embed", "shape"], [3, 3])),
+    ("dim-not-a-number", "checkpoint.json", lambda blob: _set(blob, ["config", "dim"], "abc")),
+    ("config-a-list", "checkpoint.json", lambda blob: _set(blob, ["config"], [4, 8])),
+]
+
+
+@pytest.mark.parametrize("name, edit", [m[1:] for m in MALFORMED_RUN_FILES],
+                         ids=[m[0] for m in MALFORMED_RUN_FILES])
+def test_malformed_checkpoint_or_scaler_exits_2(tmp_path, workdir, capsys, name, edit):
+    """eval and energy load a run's checkpoint and scaler; content of the
+    wrong kind ends in exit 2 and an error naming the file."""
+    run = tmp_path / "run"
+    run.mkdir()
+    for f in ("checkpoint.json", "scaler.json"):
+        (run / f).write_text(Path(workdir["run"], f).read_text())
+    (run / name).write_text(edit(json.loads((run / name).read_text())))
+    for command in ("eval", "energy"):
+        assert main([command, "--data", workdir["data"], "--checkpoint",
+                     str(run / "checkpoint.json"), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and name in err and "Traceback" not in err
+
+
 def test_empty_batch_size_exits_2(tmp_path, workdir, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"batch_size": 0}))

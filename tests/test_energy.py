@@ -1,5 +1,7 @@
 """Operation counting and 45 nm energy arithmetic."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,23 @@ def test_report_rows_are_the_forward_scopes():
     U = np.unique(np.concatenate(item.query_times)).size
     assert rows["decoder"]["n_mac"] == (D * d * 2 * d + U * d * 2 * d + U * d
                                         + Q * (2 * d * 2 * d + 2 * d))
+
+
+def test_recording_forward_bills_as_inference_does():
+    """Folding the normalizers is not per-window work: a forward that
+    records its tape bills every scope the same MACs, reads and writes as
+    one that does not, whether that one folds afresh or reuses the fold."""
+    model = _suite_model()
+    item = _fixed_window_items(0.5)[0]
+
+    def ops(record):
+        with mac_counter() as macs, contextlib.nullcontext() if record else no_grad():
+            model.forward(item.series, item.query_times)
+        return macs.ops
+
+    recorded = ops(True)
+    assert recorded == ops(False) == ops(False)  # a fresh fold, then the kept one
+    assert recorded["encoder.conv"][0] > 0
 
 
 def test_dense_reference_is_a_grid_forward():

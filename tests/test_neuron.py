@@ -320,24 +320,22 @@ def _tie_at(x, dt, eta, j):
 
 def _guard_cases():
     """Lone windows the event path must hand to the loop: membranes on (or
-    one rounding step from) v_th, drives near 1e300, a non-finite gap or
-    drive, and a channel that fires on every step (too many rounds)."""
+    one rounding step from) v_th, drives near 1e300, a non-finite drive,
+    and a channel that fires on every step (too many rounds)."""
     rng = np.random.default_rng(11)
     eta = eta_for_tau(2.0)
     K = 200
     dt = rng.uniform(0.1, 2.0, size=K)
     x = rng.normal(size=(K, 4))
-    nan_gap = dt.copy()
-    nan_gap[150] = np.nan
     nan_x = x.copy()
     nan_x[40, 1] = np.nan
     busy = x.copy()
     busy[:, 3] = 50.0
     return {"tie": (_tie_at(x, dt, eta, 90), dt, eta), "huge": (x * 1e300, dt, eta),
-            "nan_gap": (x, nan_gap, eta), "nan_x": (nan_x, dt, eta), "busy": (busy, dt, eta)}
+            "nan_x": (nan_x, dt, eta), "busy": (busy, dt, eta)}
 
 
-@pytest.mark.parametrize("name", ["tie", "huge", "nan_gap", "nan_x", "busy"])
+@pytest.mark.parametrize("name", ["tie", "huge", "nan_x", "busy"])
 def test_event_path_falls_back_to_the_loop(name, monkeypatch):
     x, dt, eta = _guard_cases()[name]
     with warnings.catch_warnings():
@@ -349,7 +347,7 @@ def test_event_path_falls_back_to_the_loop(name, monkeypatch):
         assert ref[90].sum() >= 3  # the membranes exactly on v_th fire: H(0) = 1
 
 
-@pytest.mark.parametrize("name", ["tie", "huge", "nan_gap", "nan_x", "busy"])
+@pytest.mark.parametrize("name", ["tie", "huge", "nan_x", "busy"])
 def test_event_path_raises_only_what_the_loop_raises(name, monkeypatch):
     """Under np.errstate(all="raise"), as in training's calibrate and
     validation passes, the selected path ends as the loop alone does."""
@@ -366,3 +364,18 @@ def test_event_path_raises_only_what_the_loop_raises(name, monkeypatch):
     got, want = outcome(neuron.EVENT_PATH_MIN_K), outcome(10 ** 9)
     assert type(got) is type(want)
     assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+@pytest.mark.parametrize("min_k", [None, 10 ** 9], ids=["event_path", "loop"])
+@pytest.mark.parametrize("kernel", [ealif_filter, ealif_spike_scan], ids=["filter", "spikes"])
+def test_nan_gap_raises_data_error(kernel, min_k, monkeypatch):
+    """A NaN gap is not a nonnegative gap: both kernels reject it on either
+    path, before any scan runs."""
+    rng = np.random.default_rng(11)
+    K = 200  # a lone window long enough for the event path
+    dt = rng.uniform(0.1, 2.0, size=K)
+    dt[150] = np.nan
+    if min_k is not None:
+        monkeypatch.setattr(neuron, "EVENT_PATH_MIN_K", min_k)
+    with pytest.raises(DataError, match="gaps must be nonnegative"):
+        kernel(Tensor(rng.normal(size=(K, 4))), dt, Tensor(np.array(eta_for_tau(2.0))))

@@ -4,7 +4,7 @@ import pytest
 from conftest import gradcheck
 from sedformer.errors import ConfigError, NumericsError, ShapeError
 from sedformer.tensor import (BatchNorm, Tensor, assert_finite, concat,
-                              depthwise_conv1d, linear, mac_counter, no_grad, parameter,
+                              depthwise_conv1d, fold, linear, mac_counter, no_grad, parameter,
                               scope, sigmoid, softplus)
 
 
@@ -200,8 +200,9 @@ def _frozen_norm(rng, channels):
 
 
 def test_linear_folds_frozen_batch_norms():
-    """post(pre(x) @ w + b) as one folded op equals the unfolded composition,
-    outputs and gradients to 1e-12, with every combination of parts."""
+    """post(pre(x) @ w + b) as a linear map of the folded weight and bias
+    equals the unfolded composition, outputs and gradients to 1e-12, with
+    every combination of parts."""
     rng = np.random.default_rng(31)
     n, m = 5, 4
     for with_pre, with_post, with_bias in [(True, True, True), (True, False, True),
@@ -220,8 +221,8 @@ def test_linear_folds_frozen_batch_norms():
             for t in leaves:
                 t.grad = None
             if folded:
-                y = linear(x, w, b, pre=pre and pre.scale_shift(),
-                           post=post and post.scale_shift())
+                y = linear(x, *fold(w, b, pre and pre.scale_shift(),
+                                    post and post.scale_shift()))
             else:
                 h = (pre(x) if pre else x).reshape(-1, n) @ w
                 h = (h + b if b is not None else h).reshape(3, 7, m)
@@ -242,7 +243,7 @@ def test_linear_gradient():
     b = parameter(rng.normal(size=2))
     pre = (parameter(rng.normal(size=3)), parameter(rng.normal(size=3)))
     post = (parameter(rng.normal(size=2)), parameter(rng.normal(size=2)))
-    gradcheck(lambda: (linear(x, w, b, pre=pre, post=post) ** 2).sum(),
+    gradcheck(lambda: (linear(x, *fold(w, b, pre, post)) ** 2).sum(),
               [x, w, b, *pre, *post])
     with pytest.raises(ShapeError):
         linear(x, Tensor(np.ones((2, 2))))
