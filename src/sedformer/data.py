@@ -412,6 +412,12 @@ class Standardizer:
 
 # -- synthetic forecasting suite ----------------------------------------------------
 
+# Largest suite, in observation cells (n_series * n_variates * n_days): the
+# panels and the windows cut from them hold ~100 bytes per cell (measured on
+# 8 x 4 x 2400), so ~1 GiB at the bound, 500x the benchmark suite (8 x 4 x 600).
+# Checked before the first panel allocates anything.
+MAX_SUITE_CELLS = 10**7
+
 
 @dataclass
 class SuiteConfig:
@@ -438,6 +444,12 @@ class SuiteConfig:
         for name in ("n_series", "n_variates", "n_days"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        cells = self.n_series * self.n_variates * self.n_days
+        if cells > MAX_SUITE_CELLS:
+            raise ConfigError(f"n_series * n_variates * n_days must be at most "
+                              f"{MAX_SUITE_CELLS:,} cells (~100 bytes each), got {cells:,} "
+                              f"(n_series={self.n_series}, n_variates={self.n_variates}, "
+                              f"n_days={self.n_days})")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

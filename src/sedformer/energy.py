@@ -24,6 +24,12 @@ from .training import WindowItem
 
 CONFIG_NOTE = "e_acc/e_cmp/e_rd/e_wr are configured values, not published measurements"
 
+# Most dense-grid steps per window: a lone window's forward holds ~3.3 KiB per
+# step at the default dims (measured at 10,000 and 40,000 steps, 4 variates),
+# so ~13 MiB at the bound, a step every ~32 minutes of a 90-day history (the
+# default is 90, one a day). Checked before any window is run.
+MAX_GRID_STEPS_PER_WINDOW = 4096
+
 
 @dataclass
 class OpCounts:
@@ -160,6 +166,9 @@ def model_energy_report(model: SedFormer, items: list[WindowItem],
     grid_steps = 90 * n if grid_steps is None else int(grid_steps)
     if grid_steps < n:
         raise ConfigError(f"grid_steps must give each of the {n} windows a step, got {grid_steps}")
+    if grid_steps > MAX_GRID_STEPS_PER_WINDOW * n:
+        raise ConfigError(f"grid_steps must give each of the {n} windows at most "
+                          f"{MAX_GRID_STEPS_PER_WINDOW} steps, got {grid_steps}")
     stats = measure_spike_stats(model, items)
     report = energy_estimate(count_model_layers(model, stats), em)
     report["firing"] = {k: v for k, v in stats.items() if k != "ops"}

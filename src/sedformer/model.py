@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import neuron
 from .backbone import Block, TimeEmbedding, aggregate_observed, embed_tokens
 from .downsample import pool_events
 from .encoder import EventBatch, EventSeries, SedSeEncoder, event_gaps, window_lengths
@@ -21,36 +22,66 @@ from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, assert_finite, 
                      fold_once, linear, make_op, no_grad, parameter, scope, stats_written)
 
 # Rows of one padded batch: event x variate slots (K_max * B * D) plus the
-# decoder's query rows. Training runs, evaluate and calibrate group windows
-# in order up to this size; a larger window runs alone. Measured with the
-# benchmark, before the decoder was factored: 3072 rows evaluate `suite`
-# only ~6 % faster per window than 2048, but raise `sparse_short`'s peak
-# RSS by ~3 %. Query rows are still two thirds of a `sparse_short` batch's
-# rows (120 queries to ~64 event slots per window), but with the factored
-# decoder they hold about a third of its training tape (~1 KiB per query
-# against ~3 KiB per event slot).
+# decoder's query rows. Training runs and calibrate group windows in order up
+# to BATCH_ROWS, since a tape sets their memory; a larger window runs alone.
+# Measured in one process on 2 CPUs, 10 alternating rounds against 2048:
+# calibrate at 4096 rows ran 1.05x as fast on `suite` but 0.89x on
+# `sparse_short`, and a training epoch 1.01x and 1.02x.
 BATCH_ROWS = 2048
+
+# Rows of one batch of ``evaluate``, which keeps no tape and groups windows
+# of like length (``eval_batches``). Measured in one process on 2 CPUs, two
+# runs of 20 alternating rounds against 2048 rows in item order, seed-0 test
+# splits: `sparse_short` evaluates 1.17x and 1.37x as fast and `suite` 1.29x
+# and 1.30x (4 -> 2 and 8 -> 4 batches); `async_long`, whose windows all run
+# alone, 1.00x.
+EVAL_ROWS = 4096
+
+# Largest token dimension: the parameters grow as ~24 dim^2 (12 MiB at 256,
+# 192 MiB at 1024 with 2 blocks) and training keeps about five copies of them
+# (gradients, Adam's two moments, the best-on-validation copy), ~1 GiB at the
+# bound; the sweep grid stops at 128.
+MAX_DIM = 1024
 
 # Fixed settings (ModelConfig fields in older checkpoints, as are the
 # neuron's V_TH and ALPHA_STE): time-embedding stamp scale in days, attention eps.
 TE_SPAN, ATTENTION_EPS = 90.0, 1e-6
 
 
-def batch_ranges(series: list[EventSeries], n_queries: list[int] | None = None) -> list[range]:
+def batch_ranges(series: list[EventSeries], n_queries: list[int] | None = None,
+                 rows: int | None = None) -> list[range]:
     """Consecutive index runs of ``series``, each one batch of at most
-    ``BATCH_ROWS`` rows (or a single larger window); window i brings
-    ``n_queries[i]`` decoder rows (none without ``n_queries``)."""
+    ``rows`` rows (default ``BATCH_ROWS``) or a single larger window;
+    window i brings ``n_queries[i]`` decoder rows (none without
+    ``n_queries``)."""
+    rows = BATCH_ROWS if rows is None else rows
     runs, start, k_max, q = [], 0, 0, 0
     for i, s in enumerate(series):
         k = max(k_max, s.n_events)
         q_i = n_queries[i] if n_queries else 0
-        if i > start and k * (i + 1 - start) * s.n_variates + q + q_i > BATCH_ROWS:
+        if i > start and k * (i + 1 - start) * s.n_variates + q + q_i > rows:
             runs.append(range(start, i))
             start, k, q = i, s.n_events, 0
         k_max, q = k, q + q_i
     if series:
         runs.append(range(start, len(series)))
     return runs
+
+
+def eval_batches(series: list[EventSeries], n_queries: list[int]) -> list[list[int]]:
+    """Index lists of ``series`` for a pass that keeps no tape.
+
+    Windows go in order of event count (a stable sort), so batch-mates pad
+    little, and ``batch_ranges`` groups them under ``EVAL_ROWS``. A window
+    of at least ``neuron.EVENT_PATH_MIN_K`` events runs alone, because the
+    event-driven spike path covers only lone windows.
+    """
+    order = sorted(range(len(series)), key=lambda i: series[i].n_events)
+    n_short = sum(series[i].n_events < neuron.EVENT_PATH_MIN_K for i in order)
+    short = order[:n_short]
+    runs = batch_ranges([series[i] for i in short], [n_queries[i] for i in short],
+                        rows=EVAL_ROWS)
+    return [short[run.start:run.stop] for run in runs] + [[i] for i in order[n_short:]]
 
 
 @dataclass
@@ -73,6 +104,8 @@ class ModelConfig:
             raise ConfigError("need at least one variate")
         if self.heads < 1:
             raise ConfigError(f"need at least one attention head, got heads={self.heads}")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ConfigError(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.blocks < 1:
@@ -122,8 +155,12 @@ def query_mlp(a: Tensor, e: Tensor, rows: np.ndarray, cols: np.ndarray,
     pre-activation), and the gradients of ``a`` and ``e`` as sums over each
     one's query rows (``_segment_sum``).
     """
-    h1 = np.maximum(a.data[rows] + e.data[cols], 0.0)
-    h2 = np.maximum(h1 @ w2.data + b2.data, 0.0)
+    h1 = a.data[rows]
+    h1 += e.data[cols]
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ w2.data
+    h2 += b2.data
+    np.maximum(h2, 0.0, out=h2)
     out = h2 @ w3.data + b3.data
     count_macs(h2.size * h1.shape[1] + out.size * h2.shape[1],
                h1.size + w2.data.size + h2.size + w3.data.size, h2.size + out.size)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoder import EventSeries
 from .errors import ConfigError, DataError, NumericsError
-from .model import ATTENTION_EPS, TE_SPAN, ModelConfig, SedFormer, batch_ranges
+from .model import ATTENTION_EPS, TE_SPAN, ModelConfig, SedFormer, batch_ranges, eval_batches
 from .neuron import ALPHA_STE, V_TH
 from .tensor import Tensor, accumulate_grad, assert_finite, make_op, no_grad
 
@@ -183,17 +183,21 @@ class TrainConfig:
 def evaluate(model: SedFormer, items: list[WindowItem]) -> dict:
     """Pooled metrics in inference mode (hard spikes, no tape).
 
-    Windows run in batches (``batch_ranges``); each prediction equals that
-    of a ``predict`` call on its window alone.
+    Windows run in batches of like length (``eval_batches``): in order of
+    event count, under ``EVAL_ROWS`` rows, and alone from
+    ``neuron.EVENT_PATH_MIN_K`` events on. Each prediction equals that of
+    a ``predict`` call on its window alone (to 1e-12), and the errors pool
+    in item order, whatever order the batches ran in.
     """
-    errs = []
+    errs = [None] * len(items)
     with no_grad():
-        for run in batch_ranges([item.series for item in items],
+        for run in eval_batches([item.series for item in items],
                                 [item.n_queries for item in items]):
-            batch = items[run.start:run.stop]
+            batch = [items[i] for i in run]
             preds = model.forward([item.series for item in batch],
                                   [item.query_times for item in batch])
-            errs.extend(flat_errors(p, item.targets) for p, item in zip(preds, batch))
+            for i, p in zip(run, preds):
+                errs[i] = flat_errors(p, items[i].targets)
     e = np.concatenate(errs) if errs else np.zeros(0)
     assert_finite(e, "prediction errors")
     return flat_metrics(e)

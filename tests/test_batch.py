@@ -6,9 +6,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_series
+from sedformer import neuron
 from sedformer.encoder import EventBatch, EventSeries, event_gaps
 from sedformer.errors import NumericsError
-from sedformer.model import BATCH_ROWS, ModelConfig, SedFormer, batch_ranges
+from sedformer.model import BATCH_ROWS, EVAL_ROWS, ModelConfig, SedFormer, batch_ranges
 from sedformer.neuron import ealif_filter, ealif_spike_scan, eta_for_tau
 from sedformer.tensor import Tensor, no_grad, parameter
 from sedformer.training import WindowItem, evaluate
@@ -106,18 +107,65 @@ def test_batch_ranges_respect_the_row_cap(rng):
     assert batch_ranges([]) == []
 
 
+def items_for(rng, windows):
+    items = []
+    for s in windows:
+        q = queries_for(rng, s.n_variates)
+        items.append(WindowItem(series=s, query_times=q, targets=[rng.normal(size=t.size)
+                                                                  for t in q]))
+    return items
+
+
 @pytest.mark.filterwarnings(EMPTY_VARIATE)
 def test_evaluate_equals_per_window_predict(rng):
+    """Shuffled windows of mixed lengths (one event, an unobserved variate,
+    one long enough for the event-driven spike path) evaluate in length
+    order, yet the MSE is bitwise the one pooled from per-window ``predict``
+    errors in item order. Bitwise holds for these windows on a given BLAS,
+    which may round the decoder's products of other row counts differently
+    in the last bit (see ``test_batched_forward_equals_single_windows``)."""
     model = small_model()
-    items = []
-    for k in (1, 3, 14, 9, 30, 7):
-        s = random_series(rng, n_events=k)
-        q = [np.sort(rng.uniform(90.0, 120.0, size=2)) for _ in range(3)]
-        items.append(WindowItem(series=s, query_times=q, targets=[rng.normal(size=2)] * 3))
+    windows = mixed_windows(rng) + [random_series(rng, n_events=k)
+                                    for k in (neuron.EVENT_PATH_MIN_K + 3, 40, 6, 22)]
+    model.calibrate(windows)
+    items = items_for(rng, [windows[i] for i in rng.permutation(len(windows))])
     errs = [p - y for it in items
-            for p, y in zip(model.predict(it.series, it.query_times), it.targets)]
+            for p, y in zip(model.predict(it.series, it.query_times), it.targets)
+            if p is not None]
     e = np.concatenate(errs)
-    assert evaluate(model, items)["mse"] == pytest.approx(float(np.mean(e * e)), rel=TOL)
+    assert evaluate(model, items)["mse"] == float(np.mean(e * e))
+    empty = evaluate(model, [])
+    assert np.isnan(empty["mse"]) and np.isnan(empty["mae"]) and empty["n_queries"] == 0
+
+
+@pytest.mark.filterwarnings(EMPTY_VARIATE)
+def test_evaluate_batches_by_length_under_the_budget(rng, monkeypatch):
+    """``evaluate`` runs its windows in the stable order of their event
+    counts, each batch within ``EVAL_ROWS`` rows or a single window, and
+    every window of at least ``EVENT_PATH_MIN_K`` events alone."""
+    lengths = [int(k) for k in rng.integers(1, 120, size=60)]
+    lengths += [300, neuron.EVENT_PATH_MIN_K, neuron.EVENT_PATH_MIN_K - 1, 1]
+    windows = [random_series(rng, n_events=k) for k in lengths]
+    items = items_for(rng, windows)
+    index = {id(s): i for i, s in enumerate(windows)}
+    batches = []
+    forward = SedFormer.forward
+
+    def recorded(self, series, query_times, smooth=False):
+        batches.append([index[id(s)] for s in series])
+        return forward(self, series, query_times, smooth)
+
+    monkeypatch.setattr(SedFormer, "forward", recorded)
+    evaluate(small_model(), items)
+    assert [i for batch in batches for i in batch] == sorted(range(len(windows)),
+                                                             key=lambda i: lengths[i])
+    assert sum(len(batch) > 1 for batch in batches) >= 2  # the budget splits the short ones
+    for batch in batches:
+        rows = max(lengths[i] for i in batch) * len(batch) * 3
+        rows += sum(items[i].n_queries for i in batch)
+        assert len(batch) == 1 or rows <= EVAL_ROWS
+        if max(lengths[i] for i in batch) >= neuron.EVENT_PATH_MIN_K:
+            assert len(batch) == 1
 
 
 def test_event_batch_pads_repeat_the_last_stamp(rng):

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,14 @@ from sedformer.cli import main
 
 TINY_TRAIN = ["--epochs", "1", "--dim", "8", "--heads", "2", "--blocks", "1", "--stride", "2",
               "--channels", "4"]
+
+
+def child_env(**extra) -> dict:
+    """This environment for a child interpreter that imports this checkout's
+    ``sedformer``, plus ``extra``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedformer.__file__)))
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +116,7 @@ def test_runtime_loads_only_numpy_and_the_standard_library():
             "except SystemExit:\n"
             "    pass\n"
             "print(json.dumps(sorted({name.split('.')[0] for name in sys.modules} - before)))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sedformer.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    run = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                          text=True, timeout=120, check=True)
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert "sedformer" in loaded and "numpy" in loaded
@@ -361,12 +367,39 @@ INVALID_SETTINGS = [  # (command, flags, the setting the error must name)
     ("train", ["--lr", "1e300"], "lr (now 1e+300) or set a smaller grad_clip"),
 ]
 
+# Sizes far past their bounds (a suite of 8e9 cells, ~2.4e11 parameters, 1e9
+# grid steps): a regressed bound must fail its row, not take the test
+# runner's memory, so these rows run in a child with a capped address space.
+SIZE_SETTINGS = [
+    ("prepare", ["--days", "1000000000"], "n_days=1000000000"),
+    ("train", ["--dim", "100000"], "dim must lie in"),
+    ("energy", ["--grid-steps", "1000000000"], "grid_steps must give each"),
+]
+INVALID_SETTINGS += SIZE_SETTINGS
+ADDRESS_CAP = 2 * 2**30
+
+
+def run_capped(argv: list) -> tuple[int, str]:
+    """Exit code and stderr of ``sedformer argv`` in a child process whose
+    address space is capped at ``ADDRESS_CAP`` bytes (the cap binds only the
+    child, which runs BLAS on one thread)."""
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = ADDRESS_CAP if hard == resource.RLIM_INFINITY else min(ADDRESS_CAP, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-m", "sedformer.cli", *argv], env=env,
+                         preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    return run.returncode, run.stderr
+
 
 @pytest.mark.parametrize("command, flags, field", INVALID_SETTINGS,
                          ids=[f"{c} {'='.join(f)}" for c, f, _ in INVALID_SETTINGS])
 def test_invalid_setting_exits_2(tmp_path, workdir, capsys, command, flags, field):
     """Each setting is rejected with exit 2 and an error naming it, before
-    any run writes a non-finite number."""
+    any run writes a non-finite number or allocates for a size past its
+    bound."""
     inputs = {"prepare": ["--synthetic", "--series", "2"],
               "train": ["--data", workdir["data"], *TINY_TRAIN],
               "energy": ["--data", workdir["data"], "--checkpoint", workdir["ckpt"]],
@@ -374,8 +407,12 @@ def test_invalid_setting_exits_2(tmp_path, workdir, capsys, command, flags, fiel
               "viz": []}[command]
     flags = [f.format(**workdir) for f in flags]  # "{data}": the prepared dataset
     out = tmp_path / "out"
-    assert main([command, *inputs, *flags, "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err
+    argv = [command, *inputs, *flags, "--out-dir", str(out)]
+    if (command, flags, field) in SIZE_SETTINGS:
+        rc, err = run_capped(argv)
+    else:
+        rc, err = main(argv), capsys.readouterr().err
+    assert rc == 2, err
     assert "error:" in err and field in err and "Traceback" not in err
     for path in (p for p in out.rglob("*") if p.is_file()):
         assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), path

@@ -178,8 +178,9 @@ def test_factored_decoder_matches_concat_oracle_on_padded_batches(rng):
 
 
 def test_query_mlp_gradcheck_with_empty_segments():
-    """Gradients of the decoder op where a summary (row 2) and two stamps
-    (0 and 3) have no query: those get exactly 0."""
+    """The decoder op's output is bitwise its formula, and its gradients
+    check where a summary (row 2) and two stamps (0 and 3) have no query:
+    those get exactly 0."""
     rng = np.random.default_rng(6)
     m = 4
     a, e = parameter(rng.normal(size=(4, m))), parameter(rng.normal(size=(5, m)))
@@ -188,6 +189,9 @@ def test_query_mlp_gradcheck_with_empty_segments():
     w2, b2 = parameter(rng.normal(size=(m, m))), parameter(rng.normal(size=m))
     w3, b3 = parameter(rng.normal(size=(m, 1))), parameter(rng.normal(size=1))
     w = rng.normal(size=(rows.size, 1))
+    want = np.maximum(np.maximum(a.data[rows] + e.data[cols], 0.0) @ w2.data + b2.data,
+                      0.0) @ w3.data + b3.data
+    assert query_mlp(a, e, rows, cols, w2, b2, w3, b3).data.tobytes() == want.tobytes()
     gradcheck(lambda: (query_mlp(a, e, rows, cols, w2, b2, w3, b3) * Tensor(w)).sum(),
               [a, e, w2, b2, w3, b3])
     assert np.all(a.grad[2] == 0.0) and np.all(e.grad[[0, 3]] == 0.0)
