@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .neuron import ealif_filter, eta_for_tau_init
 from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, concat, count_macs, fold,
-                     fold_once, linear, make_op, parameter, scope, softplus)
+                     fold_once, linear, make_op, moments, parameter, scope, softplus)
 
 
 class TimeEmbedding(Module):
@@ -163,13 +163,16 @@ class SedAttention(Module):
             raise ShapeError(f"attention built for dim {self.dim}, got {x.shape[-1]}")
         ws, bns = (self.w_q, self.w_k, self.w_v), (self.bn_q, self.bn_k, self.bn_v)
         if any(bn.accumulating for bn in (norm, *bns) if bn is not None):
-            # the moments need each normalizer's raw input
-            x = x if norm is None else norm(x, lengths)
-            z = concat([bn(linear(x, w), lengths) for w, bn in zip(ws, bns)], axis=-1)
-        else:  # q, k and v from one product, every normalizer folded in
-            z = linear(x, *fold_once(self, (*ws, *bns, norm), lambda: fold(
-                concat(list(ws), axis=1), pre=None if norm is None else norm.scale_shift(),
-                post=tuple(concat(list(t)) for t in zip(*(bn.scale_shift() for bn in bns))))))
+            n, mean, scatter = moments(x.data, lengths)
+            if norm is not None:  # q/k/v see them through (x * a + c) @ w: no division
+                norm.observe(n, mean, scatter)
+                a, c = (t.data for t in norm.scale_shift())
+                mean, scatter = mean * a + c, scatter * np.outer(a, a)
+            for w, bn in zip(ws, bns):
+                bn.observe(n, mean @ w.data, w.data.T @ scatter @ w.data)
+        z = linear(x, *fold_once(self, (*ws, *bns, norm), lambda: fold(
+            concat(list(ws), axis=1), pre=None if norm is None else norm.scale_shift(),
+            post=tuple(concat(list(t)) for t in zip(*(bn.scale_shift() for bn in bns))))))
         qkv = ealif_filter(z, gaps, (self.eta_q, self.eta_k, self.eta_v))
         Kp, D = x.shape[0], x.shape[-2]
         real = None
@@ -196,11 +199,10 @@ class FeedForward(Module):
 
     def __call__(self, x: Tensor, lengths: np.ndarray | None = None,
                  norm: BatchNorm | None = None) -> Tensor:
-        if norm is not None and norm.accumulating:  # its moments need the raw input
-            h = linear(norm(x, lengths), self.w1, self.b1)
-        else:
-            h = linear(x, *fold_once(self, (self.w1, self.b1, norm), lambda: fold(
-                self.w1, self.b1, pre=None if norm is None else norm.scale_shift())))
+        if norm is not None and norm.accumulating:
+            norm.observe(*moments(x.data, lengths))
+        h = linear(x, *fold_once(self, (self.w1, self.b1, norm), lambda: fold(
+            self.w1, self.b1, pre=None if norm is None else norm.scale_shift())))
         return linear(h.relu(), self.w2, self.b2)
 
 

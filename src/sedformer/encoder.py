@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .neuron import ealif_spike_scan, eta_for_tau_init
-from .tensor import BatchNorm, Module, Tensor, depthwise_conv1d, fold_once, parameter, scope
+from .tensor import (BatchNorm, Module, Tensor, depthwise_conv1d, fold_once, moments, parameter,
+                     scope)
 
 
 @dataclass
@@ -223,11 +224,10 @@ class SedSeEncoder(Module):
         observed = Tensor(np.where(series.mask == 1.0, series.values, 0.0))  # 0 if unobserved/pad
         with scope("conv"):
             if self.bn.accumulating:  # its moments need the raw convolution
-                x_loc = self.bn(depthwise_conv1d(observed, self.kernels),
-                                window_lengths(series.mask))
-            else:  # the frozen map folds into the kernels (scale per channel) plus a shift
-                kernels, shift = fold_once(self, (self.kernels, self.bn), self._folded_kernels)
-                x_loc = depthwise_conv1d(observed, kernels) + shift
+                self.bn.observe(*moments(depthwise_conv1d(observed, self.kernels.data).data,
+                                         window_lengths(series.mask)))
+            kernels, shift = fold_once(self, (self.kernels, self.bn), self._folded_kernels)
+            x_loc = depthwise_conv1d(observed, kernels) + shift  # the normalizer folded in
         gaps = event_gaps(series.times, first_gap=self.first_gap)
         with scope("dynamics"):
             s = self.gate(gaps).reshape(gaps.shape + (1, 1))

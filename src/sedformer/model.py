@@ -23,10 +23,9 @@ from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, assert_finite, 
 
 # Rows of one padded batch: event x variate slots (K_max * B * D) plus the
 # decoder's query rows. Training runs and calibrate group windows in order up
-# to BATCH_ROWS, since a tape sets their memory; a larger window runs alone.
-# Measured in one process on 2 CPUs, 10 alternating rounds against 2048:
-# calibrate at 4096 rows ran 1.05x as fast on `suite` but 0.89x on
-# `sparse_short`, and a training epoch 1.01x and 1.02x.
+# to BATCH_ROWS (a tape sets training's memory); a larger window runs alone. In
+# one process on 2 CPUs, a training epoch at 4096 rows ran 1.01x (`suite`) and
+# 1.02x (`sparse_short`) as fast; calibrate by ``eval_batches`` 1.02x and 0.92x.
 BATCH_ROWS = 2048
 
 # Rows of one batch of ``evaluate``, which keeps no tape and groups windows
@@ -37,11 +36,15 @@ BATCH_ROWS = 2048
 # alone, 1.00x.
 EVAL_ROWS = 4096
 
-# Largest token dimension: the parameters grow as ~24 dim^2 (12 MiB at 256,
-# 192 MiB at 1024 with 2 blocks) and training keeps about five copies of them
-# (gradients, Adam's two moments, the best-on-validation copy), ~1 GiB at the
-# bound; the sweep grid stops at 128.
-MAX_DIM = 1024
+# Largest token dimension, encoder width, kernel and depth. The parameters grow
+# as ~24 dim^2 (12 MiB at 256, 192 MiB at 1024 with 2 blocks), ~8 dim^2 more per
+# block, and training keeps about five copies of them (gradients, Adam's two
+# moments, the best-on-validation copy): ~1 GiB at MAX_DIM, ~2.8 GiB with 8
+# blocks; the sweep grid stops at dim 128 and 4 blocks. A channel adds a value
+# per event slot to each raster array (16 MiB per array of a 2048-slot batch at
+# 1024; 1 epoch on a 600-day suite peaked at 214 MiB RSS, 51 at 8 channels).
+# The D*C*k kernel weights take 2 MiB per variate at the bounds.
+MAX_DIM, MAX_CHANNELS, MAX_KERNEL_SIZE, MAX_BLOCKS = 1024, 1024, 255, 8
 
 # Fixed settings (ModelConfig fields in older checkpoints, as are the
 # neuron's V_TH and ALPHA_STE): time-embedding stamp scale in days, attention eps.
@@ -104,12 +107,12 @@ class ModelConfig:
             raise ConfigError("need at least one variate")
         if self.heads < 1:
             raise ConfigError(f"need at least one attention head, got heads={self.heads}")
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ConfigError(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
+        for name, bound in (("dim", MAX_DIM), ("conv_channels", MAX_CHANNELS),
+                            ("kernel_size", MAX_KERNEL_SIZE), ("blocks", MAX_BLOCKS)):
+            if not 1 <= getattr(self, name) <= bound:
+                raise ConfigError(f"{name} must lie in [1, {bound}], got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.blocks < 1:
-            raise ConfigError("need at least one block")
         if self.pool_stride < 1:
             raise ConfigError("pool stride must be >= 1")
         if not 1.0 <= self.tau_init <= TAU_MAX:  # its eta overflows past TAU_MAX
@@ -239,13 +242,12 @@ class SedFormer(Module):
     def calibrate(self, series_list) -> None:
         """Refresh normalization statistics with exact pooled moments.
 
-        One pass over the given series under the current statistics; each
-        normalizer records its raw input moments and commits them at the end.
+        One no-tape pass in batches (``batch_ranges``) through the folded
+        forward, under the current statistics; each normalizer observes its
+        input's moments over a batch's real rows and commits the pooled
+        moments (those of one forward per series, up to rounding) at the end.
         This is the only way statistics change outside ``load_state``, so
-        training and inference scale features identically. The pass runs
-        in batches (``batch_ranges``); each normalizer still takes the
-        windows one at a time, in order, so the statistics equal those of
-        one forward per series.
+        training and inference scale features identically.
         """
         series_list = list(series_list)
         norms = self.batch_norms()

@@ -620,10 +620,10 @@ def stats_written() -> None:
 def fold_once(owner, sources: tuple, make):
     """``make()``: what ``owner`` folds from ``sources`` (Tensors; a BatchNorm
     stands for its gamma and beta; None is skipped). A recording forward
-    folds on the tape every call; any other keeps the value on ``owner``
-    while every source array is the same object (``Adam.step``, ``load_state``
-    and ``p.data = ...`` rebind) and no statistics were written. Folding is
-    not per-window work, so no open ``mac_counter`` counts it."""
+    folds on the tape every call; any other (``predict``, ``evaluate``,
+    ``calibrate``) keeps the value on ``owner`` while every source array is
+    the same object (``Adam.step``, ``load_state``, ``p.data = ...`` rebind)
+    and no statistics were written. No ``mac_counter`` counts a fold."""
     tensors = [t for s in sources if s is not None
                for t in ((s.gamma, s.beta) if isinstance(s, BatchNorm) else (s,))]
     if is_recording(*tensors):
@@ -688,14 +688,26 @@ class Module:
             yield from child.modules()
 
 
+def moments(x: np.ndarray, lengths: np.ndarray | None = None) -> tuple:
+    """Count, mean [C] and centred scatter matrix [C, C] of the rows of x [..., C];
+    with ``lengths``, of a time-major batch [K, B, ..., C]'s real rows only
+    (window b's first ``lengths[b]``)."""
+    if lengths is not None:
+        x = x[np.arange(x.shape[0])[:, None] < lengths]
+    rows = x.reshape(-1, x.shape[-1])
+    mean = rows.mean(axis=0)
+    dev = rows - mean
+    return rows.shape[0], mean, dev.T @ dev
+
+
 class BatchNorm(Module):
     """Per-channel normalization with stored statistics; the channel axis is last.
 
     Every call applies ``running_mean``/``running_var`` and is deterministic.
     The statistics change only through ``start_accumulation``/
-    ``stop_accumulation`` (exact pooled moments over many calls) or by
-    writing into the arrays in place (``SedFormer.load_state``); each such
-    write calls ``stats_written``. There is no per-batch mode.
+    ``stop_accumulation`` (exact pooled moments of every ``observe`` in
+    between) or by writing into the arrays in place (``SedFormer.load_state``);
+    each such write calls ``stats_written``. There is no per-batch mode.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5):
@@ -708,50 +720,44 @@ class BatchNorm(Module):
         self._acc = None
 
     def start_accumulation(self) -> None:
-        """Begin recording exact pooled input moments across forwards."""
-        self._acc = [0, np.zeros(self.channels), np.zeros(self.channels)]
+        """Begin pooling input moments: a count, a mean and a centred sum of squares."""
+        self._acc = (0, np.zeros(self.channels), np.zeros(self.channels))
 
     @property
     def accumulating(self) -> bool:
-        """Whether forwards are being recorded into new statistics."""
+        """Whether input moments are being pooled into new statistics."""
         return self._acc is not None
+
+    def observe(self, n: int, mean: np.ndarray, scatter: np.ndarray) -> None:
+        """While accumulating, pool n rows of this mean and centred scatter matrix
+        (its diagonal; see ``moments``) by Chan, Golub & LeVeque's pairwise update."""
+        if self._acc is None or n == 0:
+            return
+        n_a, mean_a, m2_a = self._acc
+        total, delta = n_a + n, mean - mean_a
+        self._acc = (total, mean_a + delta * (n / total),
+                     m2_a + np.diagonal(scatter) + delta * delta * (n_a * n / total))
 
     def stop_accumulation(self) -> None:
         """Commit accumulated moments as the new running statistics."""
         acc, self._acc = self._acc, None
         if acc is None or acc[0] == 0:
             return
-        n, s, sq = acc
-        mean = s / n
+        n, mean, m2 = acc
         self.running_mean[...] = mean
-        self.running_var[...] = np.maximum(sq / n - mean * mean, 0.0)
+        self.running_var[...] = np.maximum(m2 / n, 0.0)
         stats_written()
 
-    def __call__(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
-        """Normalize ``x`` [..., C] with the stored statistics, op by op.
-
-        The model runs this composition only while accumulating, because
-        the moments need the raw input; otherwise it folds ``scale_shift``
-        into a neighbouring linear map. With ``lengths``, x is a
-        time-major batch [K, B, ..., C] whose window b holds real rows only
-        before ``lengths[b]``; the pads after them stay out of the
-        accumulated moments, which take each window in turn exactly as one
-        call per window would.
-        """
+    def __call__(self, x: Tensor) -> Tensor:
+        """Normalize ``x`` [..., C] with the stored statistics, op by op,
+        observing its rows while accumulating: the normalizer's definition,
+        which the model folds (``scale_shift``) instead of running."""
         if x.shape[-1] != self.channels:
             raise ShapeError(f"expected trailing dim {self.channels}, got {x.shape}")
-        orig_shape = x.shape
-        flat = x.reshape(-1, self.channels)
         if self._acc is not None:
-            windows = [flat.data] if lengths is None else [
-                x.data[:n, b].reshape(-1, self.channels) for b, n in enumerate(lengths)]
-            for rows in windows:
-                self._acc[0] += rows.shape[0]
-                self._acc[1] += rows.sum(axis=0)
-                self._acc[2] += (rows * rows).sum(axis=0)
-        xhat = (flat - self.running_mean) * ((self.running_var + self.eps) ** -0.5)
-        out = xhat * self.gamma + self.beta
-        return out.reshape(orig_shape)
+            self.observe(*moments(x.data))
+        xhat = (x - self.running_mean) * ((self.running_var + self.eps) ** -0.5)
+        return xhat * self.gamma + self.beta
 
     def scale_shift(self) -> tuple[Tensor, Tensor]:
         """The frozen map as ``x * s + t``: s = gamma / sqrt(var + eps) and

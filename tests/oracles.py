@@ -6,6 +6,9 @@ gradients against it:
 
 - ``composed_attention``: ``SedAttention`` with its normalizers applied
   unfolded and the linear-attention core as batched tape products.
+- ``composed_feed_forward`` / ``composed_drive_current``: ``FeedForward``
+  and ``SedSeEncoder.drive_current`` with their normalizer applied unfolded
+  (``BatchNorm.__call__``) after the raw first layer or convolution.
 - ``concat_decoder``: the ``Decoder`` MLP over concatenated
   ``[summary, time embedding]`` query rows, three ``linear`` layers.
 - ``lif_step`` / ``ealif_step`` (with ``LifConfig`` / ``EaLifConfig``):
@@ -27,13 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sedformer.backbone import SedAttention
+from sedformer.backbone import FeedForward, SedAttention
+from sedformer.encoder import EventBatch, EventSeries, SedSeEncoder, event_gaps
 from sedformer.energy import OpCounts, dense_counts
 from sedformer.errors import ConfigError, DataError
 from sedformer.model import Decoder
 from sedformer.neuron import ealif_filter, eta_for_tau, heaviside, surrogate_grad
-from sedformer.tensor import (BatchNorm, Tensor, accumulate_grad, concat, linear, make_op,
-                              parameter, sigmoid)
+from sedformer.tensor import (BatchNorm, Tensor, accumulate_grad, concat, depthwise_conv1d,
+                              linear, make_op, parameter, sigmoid)
 
 # -- attention ---------------------------------------------------------------------
 
@@ -48,7 +52,7 @@ def composed_attention(attn: SedAttention, x: Tensor, gaps: np.ndarray,
     tape nodes.
     """
     if norm is not None:
-        x = norm(x, lengths)
+        x = norm(x)
     dim = x.shape[-1]
     Kp, D = x.shape[0], x.shape[-2]
     B = math.prod(x.shape[1:-2])
@@ -56,7 +60,7 @@ def composed_attention(attn: SedAttention, x: Tensor, gaps: np.ndarray,
     x_flat = x.reshape(-1, dim)
 
     def heads(w, bn, eta):  # -> [B, H, K'*D, d_h]
-        f = ealif_filter(bn((x_flat @ w).reshape(x.shape), lengths), gaps, eta)
+        f = ealif_filter(bn((x_flat @ w).reshape(x.shape)), gaps, eta)
         return f.reshape(Kp, B, D, H, dh).transpose(1, 3, 0, 2, 4).reshape(B, H, Kp * D, dh)
 
     phi_q = heads(attn.w_q, attn.bn_q, attn.eta_q).softplus()
@@ -70,6 +74,28 @@ def composed_attention(attn: SedAttention, x: Tensor, gaps: np.ndarray,
     y = (phi_q @ kv) / (phi_q @ k_sum + attn.eps)                          # [B, H, K'*D, d_h]
     y = y.reshape(B, H, Kp, D, dh).transpose(2, 0, 3, 1, 4).reshape(-1, dim)
     return (y @ attn.w_o).reshape(x.shape)
+
+
+def composed_feed_forward(ffn: FeedForward, x: Tensor, lengths: np.ndarray | None = None,
+                          norm: BatchNorm | None = None) -> Tensor:
+    """``ffn(x, lengths, norm=norm)`` with the normalizer as its own ops."""
+    if norm is not None:
+        x = norm(x)
+    return linear(linear(x, ffn.w1, ffn.b1).relu(), ffn.w2, ffn.b2)
+
+
+# -- encoder -----------------------------------------------------------------------
+
+
+def composed_drive_current(enc: SedSeEncoder,
+                           series: EventSeries | EventBatch) -> tuple[Tensor, np.ndarray]:
+    """``enc.drive_current(series)`` with the normalizer as its own ops after
+    the raw convolution."""
+    observed = Tensor(np.where(series.mask == 1.0, series.values, 0.0))
+    x_loc = enc.bn(depthwise_conv1d(observed, enc.kernels))
+    gaps = event_gaps(series.times, first_gap=enc.first_gap)
+    s = enc.gate(gaps).reshape(gaps.shape + (1, 1))
+    return (x_loc * s - enc.theta) * enc.gamma_hat.softplus(), gaps
 
 
 # -- decoder -----------------------------------------------------------------------

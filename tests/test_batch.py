@@ -246,6 +246,19 @@ def test_property_batch_equals_single(data, n_variates, stride):
     series = [EventSeries(times=t, values=v, mask=m) for t, v, m, _ in drawn]
     queries = [q for *_, q in drawn]
     model = small_model(n_variates=n_variates, pool_stride=stride)
+    model.calibrate(series)  # batched, and the oracle below under its statistics
+    single = small_model(n_variates=n_variates, pool_stride=stride)
+    norms = single.batch_norms()
+    for bn in norms:
+        bn.start_accumulation()
+    with no_grad():
+        for s in series:
+            single.summarize(s)
+    for bn in norms:
+        bn.stop_accumulation()
+    for name, ref in single.buffers().items():
+        gap = np.abs(model.buffers()[name] - ref) / np.maximum(1.0, np.abs(ref))
+        assert np.max(gap) <= TOL, name
     worst, _ = batch_gap(model, series, queries)
     assert worst <= TOL
     with no_grad():

@@ -368,12 +368,16 @@ INVALID_SETTINGS = [  # (command, flags, the setting the error must name)
 ]
 
 # Sizes far past their bounds (a suite of 8e9 cells, ~2.4e11 parameters, 1e9
-# grid steps): a regressed bound must fail its row, not take the test
-# runner's memory, so these rows run in a child with a capped address space.
+# grid steps, 1e9 channels, kernel taps or blocks): a regressed bound must
+# fail its row, not take the test runner's memory, so these rows run in a
+# child with a capped address space.
 SIZE_SETTINGS = [
     ("prepare", ["--days", "1000000000"], "n_days=1000000000"),
     ("train", ["--dim", "100000"], "dim must lie in"),
     ("energy", ["--grid-steps", "1000000000"], "grid_steps must give each"),
+    ("train", ["--channels", "1000000000"], "conv_channels must lie in"),
+    ("train", ["--kernel-size", "1000000001"], "kernel_size must lie in"),
+    ("train", ["--blocks", "1000000000"], "blocks must lie in"),
 ]
 INVALID_SETTINGS += SIZE_SETTINGS
 ADDRESS_CAP = 2 * 2**30

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import gradcheck, random_series
-from oracles import concat_decoder
+from oracles import (composed_attention, composed_drive_current, composed_feed_forward,
+                     concat_decoder)
 from sedformer import neuron
-from sedformer.encoder import EventSeries
+from sedformer.backbone import FeedForward, SedAttention
+from sedformer.encoder import EventSeries, SedSeEncoder
 from sedformer.energy import model_energy_report
 from sedformer.errors import ConfigError, DataError
 from sedformer.model import ModelConfig, SedFormer, query_mlp
@@ -332,20 +334,25 @@ def test_calibrate_restores_mode(rng):
     assert not np.allclose(stats, 0.0)
 
 
+def _non_identity(model, rng):
+    """Non-identity scales and shifts on every normalizer."""
+    for bn in model.batch_norms():
+        bn.gamma.data = rng.normal(1.0, 0.3, size=bn.channels)
+        bn.beta.data = rng.normal(0.0, 0.3, size=bn.channels)
+
+
 @pytest.mark.filterwarnings("ignore:.*no observed pooled step")
-def test_folded_normalizers_match_unfolded_forward(rng, monkeypatch):
-    """Outside calibration every normalizer folds into its neighbouring map;
-    forcing the unfolded composition (as while accumulating, minus the
-    accumulation) gives the same predictions and gradients to 1e-12, on a
-    padded batch under non-identity statistics."""
+def test_folded_normalizers_match_composed_forward(rng, monkeypatch):
+    """Every normalizer folds into its neighbouring map; the same model with
+    the encoder, attention and feed-forward composed from
+    ``BatchNorm.__call__`` (``oracles.py``) gives the same predictions and
+    gradients to 1e-12, on a padded batch under non-identity statistics."""
     model = SedFormer(small_config(blocks=2, pool_stride=4))
     windows = [random_series(rng, n_events=k) for k in (14, 3, 22)]
     queries = [[np.sort(rng.uniform(91.0, 120.0, size=2)) for _ in range(3)] for _ in windows]
     targets = [[rng.normal(size=2) for _ in range(3)] for _ in windows]
     model.calibrate(windows)
-    for bn in model.batch_norms():
-        bn.gamma.data = rng.normal(1.0, 0.3, size=bn.channels)
-        bn.beta.data = rng.normal(0.0, 0.3, size=bn.channels)
+    _non_identity(model, rng)
     params = model.parameters()
 
     def run():
@@ -357,14 +364,74 @@ def test_folded_normalizers_match_unfolded_forward(rng, monkeypatch):
                 {k: p.grad.copy() for k, p in params.items() if p.grad is not None})
 
     folded, folded_grads = run()
-    monkeypatch.setattr(BatchNorm, "accumulating", property(lambda self: True))
-    unfolded, unfolded_grads = run()
-    for a, b in zip(folded, unfolded):
+    normalized = set()
+    bn_call = BatchNorm.__call__
+    monkeypatch.setattr(BatchNorm, "__call__", lambda bn, x: normalized.add(bn) or bn_call(bn, x))
+    monkeypatch.setattr(SedSeEncoder, "drive_current", composed_drive_current)
+    monkeypatch.setattr(SedAttention, "__call__", composed_attention)
+    monkeypatch.setattr(FeedForward, "__call__", composed_feed_forward)
+    composed, composed_grads = run()
+    assert normalized == set(model.batch_norms())  # each normalizer ran op by op
+    for a, b in zip(folded, composed):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
-    assert folded_grads.keys() == unfolded_grads.keys()
-    scale = max(np.max(np.abs(g)) for g in unfolded_grads.values())
-    for k, g in unfolded_grads.items():
+    assert folded_grads.keys() == composed_grads.keys()
+    scale = max(np.max(np.abs(g)) for g in composed_grads.values())
+    for k, g in composed_grads.items():
         assert np.max(np.abs(folded_grads[k] - g)) <= 1e-12 * scale, k
+
+
+@pytest.mark.filterwarnings("ignore:.*no observed pooled step")
+def test_calibrate_statistics_match_numpy(rng, monkeypatch):
+    """On one padded batch, each normalizer's new statistics are np.mean and
+    np.var over its raw input's real rows, which the test computes from what
+    each module is handed: the encoder's raw convolution, the block input
+    (bn1), its image under bn1 and each projection (bn_q/k/v; one bn1 scale
+    is 0) and the feed-forward input (bn2). No forward calls
+    ``BatchNorm.__call__``."""
+    model = SedFormer(small_config(blocks=2, pool_stride=4, kernel_size=5))
+    sizes = (14, 3, 22)
+    windows = [random_series(rng, n_events=k) for k in sizes]
+    model.calibrate(windows)
+    _non_identity(model, rng)
+    model.blocks[0].bn1.gamma.data[1] = 0.0
+    raw = {}  # normalizer -> its input's real rows
+
+    def real(a, lengths):
+        return np.concatenate([a[:n, b].reshape(-1, a.shape[-1]) for b, n in enumerate(lengths)])
+
+    def encoder_spy(enc, batch):
+        obs = np.where(batch.mask == 1.0, batch.values, 0.0)  # [K, B, D]
+        conv = np.empty(obs.shape + (enc.channels,))
+        for (b, d, c), _ in np.ndenumerate(conv[0]):
+            conv[:, b, d, c] = np.correlate(obs[:, b, d], enc.kernels.data[d, c], mode="same")
+        raw[enc.bn] = real(conv, sizes)
+        return drive_current(enc, batch)
+
+    def attention_spy(attn, x, gaps, lengths=None, norm=None):
+        assert list(lengths) == [max(k // 4, 1) for k in sizes]  # pooled steps per window
+        rows = raw[norm] = real(x.data, lengths)
+        h = ((rows - norm.running_mean) / np.sqrt(norm.running_var + norm.eps)
+             * norm.gamma.data + norm.beta.data)
+        for w, bn in ((attn.w_q, attn.bn_q), (attn.w_k, attn.bn_k), (attn.w_v, attn.bn_v)):
+            raw[bn] = h @ w.data
+        return attention(attn, x, gaps, lengths, norm=norm)
+
+    def feed_forward_spy(ffn, x, lengths=None, norm=None):
+        raw[norm] = real(x.data, lengths)
+        return feed_forward(ffn, x, lengths, norm=norm)
+
+    drive_current, attention = SedSeEncoder.drive_current, SedAttention.__call__
+    feed_forward = FeedForward.__call__
+    monkeypatch.setattr(SedSeEncoder, "drive_current", encoder_spy)
+    monkeypatch.setattr(SedAttention, "__call__", attention_spy)
+    monkeypatch.setattr(FeedForward, "__call__", feed_forward_spy)
+    monkeypatch.setattr(BatchNorm, "__call__", lambda bn, x: pytest.fail("op-by-op normalizer"))
+    model.calibrate(windows)
+    assert set(raw) == set(model.batch_norms())
+    for bn, rows in raw.items():
+        for got, want in ((bn.running_mean, np.mean(rows, axis=0)),
+                          (bn.running_var, np.var(rows, axis=0))):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # -- folds kept between forwards that do not record -----------------------------------
@@ -376,9 +443,7 @@ def _fold_cache_case(rng):
     model = SedFormer(small_config(blocks=2))
     series = random_series(rng, n_events=16)
     model.calibrate([series])
-    for bn in model.batch_norms():
-        bn.gamma.data = rng.normal(1.0, 0.3, size=bn.channels)
-        bn.beta.data = rng.normal(0.0, 0.3, size=bn.channels)
+    _non_identity(model, rng)
     q = [np.array([95.0, 101.0]), np.array([92.0]), np.array([99.0])]
     return model, series, q, model.predict(series, q)
 

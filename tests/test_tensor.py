@@ -4,8 +4,8 @@ import pytest
 from conftest import gradcheck
 from sedformer.errors import ConfigError, NumericsError, ShapeError
 from sedformer.tensor import (BatchNorm, Tensor, assert_finite, concat,
-                              depthwise_conv1d, fold, linear, mac_counter, no_grad, parameter,
-                              scope, sigmoid, softplus)
+                              depthwise_conv1d, fold, linear, mac_counter, moments, no_grad,
+                              parameter, scope, sigmoid, softplus)
 
 
 def test_matmul_value():
@@ -186,6 +186,49 @@ def test_batchnorm_accumulation_pools_exact_moments():
     allx = np.concatenate(chunks)
     assert np.allclose(bn.running_mean, allx.mean(axis=0))
     assert np.allclose(bn.running_var, allx.var(axis=0))
+
+
+def test_batchnorm_call_observes_its_input():
+    """``__call__`` observes its input while accumulating, so one call
+    between start and stop gives exactly that input's moments."""
+    z = np.random.default_rng(6).normal(3.0, 2.0, size=(6, 4, 3))
+    bn = BatchNorm(3)
+    bn.start_accumulation()
+    bn(Tensor(z))
+    bn.stop_accumulation()
+    rows = z.reshape(-1, 3)
+    assert np.allclose(bn.running_mean, rows.mean(axis=0), rtol=1e-14, atol=0.0)
+    assert np.allclose(bn.running_var, rows.var(axis=0), rtol=1e-14, atol=0.0)
+
+
+def test_moments_skip_pads_and_pool_centred():
+    """``moments`` counts only a time-major batch's real rows, and pooling
+    chunks by ``observe`` keeps the moments of all rows where an uncentred
+    sum of squares loses them: at offset 1e6 and spread 1, ``sq/n - mean^2``
+    misses the variance by ~1e-4 relative, the pooled centred sums by ~1e-10
+    (the chunk means' rounding)."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(1e6, 1.0, size=(5, 3, 2, 4))
+    lengths = np.array([5, 2, 1])
+    x[np.arange(5)[:, None] >= lengths] = 1e9  # pads must not count
+    rows = np.concatenate([x[:n, b].reshape(-1, 4) for b, n in enumerate(lengths)])
+    n, mean, scatter = moments(x, lengths)
+    dev = rows - rows.mean(axis=0)
+    assert n == rows.shape[0]
+    assert np.allclose(mean, rows.mean(axis=0), rtol=1e-15, atol=0.0)
+    assert np.allclose(scatter, dev.T @ dev, rtol=1e-12, atol=1e-12)
+    bn = BatchNorm(4)
+    bn.start_accumulation()
+    for chunk in np.array_split(rows, 4):
+        bn.observe(*moments(chunk))
+    bn.observe(0, np.full(4, np.nan), np.full((4, 4), np.nan))  # an empty chunk adds nothing
+    bn.stop_accumulation()
+    assert np.allclose(bn.running_mean, rows.mean(axis=0), rtol=1e-15, atol=0.0)
+    assert np.allclose(bn.running_var, rows.var(axis=0), rtol=1e-8, atol=0.0)
+    before = bn.running_var.copy()
+    bn.observe(*moments(rows[:3]))  # not accumulating: ignored
+    bn.stop_accumulation()
+    assert np.array_equal(bn.running_var, before)
 
 
 def _frozen_norm(rng, channels):
