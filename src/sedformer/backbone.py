@@ -19,6 +19,10 @@ from .neuron import ealif_filter, eta_for_tau_init
 from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, concat, count_macs, fold,
                      fold_once, linear, make_op, moments, parameter, scope, softplus)
 
+# Guard added to the attention denominator (a ModelConfig field in older
+# checkpoints, which load only at this value).
+ATTENTION_EPS = 1e-6
+
 
 class TimeEmbedding(Module):
     """Learnable time features: one linear channel plus sinusoids.
@@ -62,8 +66,7 @@ def embed_tokens(spikes: Tensor, times: np.ndarray, embed: Tensor,
     return tok + te(times).reshape(np.shape(times) + (1, te.dim))
 
 
-def linear_attention(qkv: Tensor, heads: int, real: np.ndarray | None = None,
-                     eps: float = 1e-6) -> Tensor:
+def linear_attention(qkv: Tensor, heads: int, real: np.ndarray | None = None) -> Tensor:
     """Non-causal linear attention over every token of a window, as one op.
 
     qkv: [K', B, D, 3*dim], the filtered queries, keys and values side by
@@ -75,7 +78,7 @@ def linear_attention(qkv: Tensor, heads: int, real: np.ndarray | None = None,
     its N = K'*D tokens u,
         KV    = sum_u phi_k[u]^T vtil[u]          [d_h, d_h]
         k_sum = sum_u phi_k[u]                    [d_h]
-        y[u]  = (phi_q[u] KV) / (phi_q[u] k_sum + eps)
+        y[u]  = (phi_q[u] KV) / (phi_q[u] k_sum + ATTENTION_EPS)
     with pads left out of both sums. Output [K', B, D, dim].
 
     Beyond its input the op keeps phi_q, phi_k, KV, k_sum and the
@@ -99,7 +102,7 @@ def linear_attention(qkv: Tensor, heads: int, real: np.ndarray | None = None,
     k_real = k if mask is None else k * mask
     kv = k_real.swapaxes(-1, -2) @ split(parts[:, :, :, 2])  # [B, H, d_h, d_h]
     k_sum = k_real.sum(axis=-2)[..., None]                   # [B, H, d_h, 1]
-    den = q @ k_sum + eps                                    # [B, H, N, 1]
+    den = q @ k_sum + ATTENTION_EPS                          # [B, H, N, 1]
     out = merge((q @ kv) / den).reshape(shape)
     count_macs(2 * q.size * dh + q.size + (k.size if mask is not None else 0),
                3 * q.size, out.size)
@@ -137,14 +140,14 @@ class SedAttention(Module):
     once for all forwards that do not record (``tensor.fold_once``).
     """
 
-    def __init__(self, dim: int, heads: int, tau_init: float = 2.0,
-                 eps: float = 1e-6, seed: int = 0):
+    eps = ATTENTION_EPS
+
+    def __init__(self, dim: int, heads: int, tau_init: float = 2.0, seed: int = 0):
         if dim % heads != 0:
             raise ConfigError(f"dim {dim} not divisible by heads {heads}")
         self.dim = int(dim)
         self.heads = int(heads)
         self.d_head = dim // heads
-        self.eps = float(eps)
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(dim)
 
@@ -178,7 +181,7 @@ class SedAttention(Module):
         real = None
         if lengths is not None and np.any(lengths < Kp):  # keep pads out of KV and k_sum
             real = np.repeat(np.arange(Kp) < lengths[:, None], D, axis=1).astype(np.float64)
-        return linear(linear_attention(qkv, self.heads, real, self.eps), self.w_o)
+        return linear(linear_attention(qkv, self.heads, real), self.w_o)
 
 
 class FeedForward(Module):
@@ -209,9 +212,8 @@ class FeedForward(Module):
 class Block(Module):
     """Pre-norm residual block: attention then feed-forward."""
 
-    def __init__(self, dim: int, heads: int, tau_init: float = 2.0,
-                 eps: float = 1e-6, seed: int = 0):
-        self.attn = SedAttention(dim, heads, tau_init=tau_init, eps=eps, seed=seed)
+    def __init__(self, dim: int, heads: int, tau_init: float = 2.0, seed: int = 0):
+        self.attn = SedAttention(dim, heads, tau_init=tau_init, seed=seed)
         self.ffn = FeedForward(dim, seed=seed + 1)
         self.bn1, self.bn2 = BatchNorm(dim), BatchNorm(dim)
 

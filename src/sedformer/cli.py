@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -23,8 +24,8 @@ from . import viz as viz_mod
 from .energy import EnergyModel, model_energy_report, render_table
 from .errors import ConfigError, DataError, SedformerError
 from .model import ModelConfig, SedFormer
-from .training import (TrainConfig, baseline_metrics, evaluate, flat_errors,
-                       flat_metrics, load_checkpoint, save_checkpoint, train)
+from .training import (TrainConfig, baseline_metrics, evaluate, load_checkpoint,
+                       save_checkpoint, train)
 
 OUT_ROOT_ENV = "SEDFORMER_OUT"
 
@@ -58,12 +59,63 @@ def _out_dir(path: str) -> str:
     return full
 
 
-def _config_file(path: str, command: str, defaults: dict) -> dict:
+# -- settings --------------------------------------------------------------------
+
+# Each flag that sets a config field, by config class: flag -> field. The
+# flag's default is the field's own, and the config is built from this table.
+FLAGS = {
+    data_mod.CleanConfig: {"mad_window": "window", "gap_cap": "gap_cap",
+                           "outlier_mult": "outlier_mult", "rate": "rate", "seed": "seed"},
+    data_mod.SuiteConfig: {"series": "n_series", "synth_variates": "n_variates",
+                           "days": "n_days", "rate": "rate", "seed": "seed"},
+    ModelConfig: {"channels": "conv_channels", "kernel_size": "kernel_size", "dim": "dim",
+                  "heads": "heads", "blocks": "blocks", "stride": "pool_stride",
+                  "tau": "tau_init", "first_gap": "first_gap", "seed": "seed"},
+    TrainConfig: {"epochs": "epochs", "batch_size": "batch_size", "lr": "lr",
+                  "grad_clip": "grad_clip", "seed": "seed"},
+    data_mod.VizConfig: {"sparse": "n_sparse", "dense": "n_dense", "noise_std": "noise_std",
+                         "theta": "delta_threshold", "kernel": "conv_kernel",
+                         "tau_c": "conv_threshold", "grid": "grid_size", "seed": "seed",
+                         "tau": "tau", "v_th": "v_th", "gamma": "gamma"},
+    EnergyModel: {name: name for name in ("e_mac", "e_add", "e_acc", "e_cmp", "e_rd", "e_wr")},
+}
+
+# Each command's config classes, and the defaults of its flags that name an
+# input instead of setting a config field.
+COMMANDS = {
+    "prepare": ((data_mod.CleanConfig, data_mod.SuiteConfig),
+                {"corpus": None, "synthetic": False, "variates": None,
+                 "window_stride": data_mod.WINDOW_STRIDE}),
+    "train": ((ModelConfig, TrainConfig), {"data": None}),
+    "eval": ((), {"data": None, "checkpoint": None, "split": "test"}),
+    "viz": ((data_mod.VizConfig,), {}),
+    "energy": ((EnergyModel,), {"data": None, "checkpoint": None, "split": "test",
+                                "grid_steps": None}),
+}
+
+
+def defaults(command: str) -> dict:
+    """Every option of ``command`` at its default."""
+    configs, inputs = COMMANDS[command]
+    resolved = dict(inputs)
+    for cls in configs:
+        field_defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        resolved.update({flag: field_defaults[name] for flag, name in FLAGS[cls].items()})
+    return resolved
+
+
+def build(cls, settings: dict, **fields):
+    """A ``cls`` config from the resolved settings of its flags, plus ``fields``."""
+    return cls(**{name: settings[flag] for flag, name in FLAGS[cls].items()}, **fields)
+
+
+def _config_file(path: str, command: str, base: dict) -> dict:
     """Settings of a --config file: a JSON object keyed by option name.
 
-    Each value goes through its flag (``"batch_size": 8`` as ``--batch-size=8``)
-    and so meets its type and choices; a store-true flag takes true or false,
-    and null keeps the default.
+    Each value goes through its flag (``"batch_size": 8`` as ``--batch-size=8``,
+    a list comma-joined) and so meets its type and choices; a store-true flag
+    takes true or false, null keeps the default, and a ``command`` entry (as a
+    run's config.json records) must name this command.
     """
     with open(path) as f:
         try:
@@ -72,15 +124,20 @@ def _config_file(path: str, command: str, defaults: dict) -> dict:
             raise ConfigError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
-    unknown = set(cfg) - set(defaults)
+    written_for = cfg.pop("command", command)
+    if written_for != command:
+        raise ConfigError(f"{path}: \"command\" is {written_for!r}, not {command!r}")
+    unknown = set(cfg) - set(base)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
     argv = [command]
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
-        if defaults[key] is False and isinstance(value, bool):  # store-true
+        if base[key] is False and isinstance(value, bool):  # store-true
             argv += [flag] * value
         elif value is not None:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
             argv.append(f"{flag}={value}")
     try:
         parsed = vars(build_parser(exit_on_error=False).parse_args(argv))
@@ -89,12 +146,12 @@ def _config_file(path: str, command: str, defaults: dict) -> dict:
     return {key: parsed[key] for key in cfg if parsed[key] is not None}
 
 
-def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """defaults < --config file < explicit flags (flags parse to None when unset)."""
-    resolved = dict(defaults)
+    resolved = defaults(args.command)
     if args.config:
-        resolved.update(_config_file(args.config, args.command, defaults))
-    for key in defaults:
+        resolved.update(_config_file(args.config, args.command, resolved))
+    for key in resolved:
         v = getattr(args, key, None)
         if v is not None:
             resolved[key] = v
@@ -110,44 +167,24 @@ def _write_config(out_dir: str, command: str, resolved: dict) -> None:
 
 # -- prepare ---------------------------------------------------------------------
 
-PREPARE_DEFAULTS = {
-    "corpus": None, "synthetic": False, "variates": None, "rate": 0.5, "seed": 0,
-    "window_stride": 30, "gap_cap": 3, "mad_window": 5, "outlier_mult": 6.0,
-    "series": 8, "synth_variates": 4, "days": 240,
-}
-
 
 def cmd_prepare(args) -> int:
-    r = _resolve(PREPARE_DEFAULTS, args)
+    r = _resolve(args)
     out = _out_dir(args.out_dir)
     if bool(r["corpus"]) == bool(r["synthetic"]):
         raise ConfigError("choose exactly one of --corpus PATH or --synthetic")
     # checked in both modes, since config.json records the cleaning settings either way
-    clean_cfg = data_mod.CleanConfig(window=int(r["mad_window"]), gap_cap=int(r["gap_cap"]),
-                                     outlier_mult=float(r["outlier_mult"]),
-                                     rate=float(r["rate"]), seed=int(r["seed"]))
+    clean_cfg = build(data_mod.CleanConfig, r)
     if r["synthetic"]:
-        cfg = data_mod.SuiteConfig(n_series=int(r["series"]),
-                                   n_variates=int(r["synth_variates"]),
-                                   n_days=int(r["days"]), rate=float(r["rate"]),
-                                   seed=int(r["seed"]))
-        splits = data_mod.synth_suite(cfg, window_stride=int(r["window_stride"]))
-        meta = {
-            "source": "synthetic", "n_variates": cfg.n_variates,
-            "n_series": cfg.n_series, "n_days": cfg.n_days,
-            "rate": cfg.rate, "seed": cfg.seed,
-            "window_stride": int(r["window_stride"]),
-            "history_days": data_mod.HISTORY_DAYS,
-            "horizon_days": data_mod.HORIZON_DAYS,
-            "splits": {k: len(v) for k, v in splits.items()},
-        }
+        cfg = build(data_mod.SuiteConfig, r)
+        splits = data_mod.synth_suite(cfg, window_stride=r["window_stride"])
+        meta = data_mod.dataset_meta("synthetic", splits, cfg.n_variates, cfg.n_days, cfg.rate,
+                                     cfg.seed, r["window_stride"], n_series=cfg.n_series)
     else:
         if not os.path.exists(r["corpus"]):
             raise DataError(f"corpus not found: {r['corpus']}")
-        n_var = int(r["variates"]) if r["variates"] is not None else None
-        splits, meta = data_mod.prepare_corpus(r["corpus"], clean_cfg,
-                                               n_variates=n_var,
-                                               window_stride=int(r["window_stride"]))
+        splits, meta = data_mod.prepare_corpus(r["corpus"], clean_cfg, n_variates=r["variates"],
+                                               window_stride=r["window_stride"])
     if not splits["train"]:
         source = f"days={r['days']}" if r["synthetic"] else f"corpus {r['corpus']}"
         raise DataError(f"{source} gives no training window ({data_mod.WINDOW_DAYS} days each)")
@@ -160,12 +197,6 @@ def cmd_prepare(args) -> int:
 
 # -- train -----------------------------------------------------------------------
 
-TRAIN_DEFAULTS = {
-    "data": None, "epochs": 5, "batch_size": 16, "lr": 1e-3, "grad_clip": None,
-    "seed": 0, "tau": 2.0, "stride": 4, "blocks": 2, "dim": 32, "heads": 4,
-    "channels": 8, "kernel_size": 3, "first_gap": "zero",
-}
-
 
 def _load_splits(data_dir: str) -> tuple[dict, dict]:
     if not data_dir or not os.path.isdir(data_dir):
@@ -174,20 +205,13 @@ def _load_splits(data_dir: str) -> tuple[dict, dict]:
 
 
 def cmd_train(args) -> int:
-    r = _resolve(TRAIN_DEFAULTS, args)
+    r = _resolve(args)
     out = _out_dir(args.out_dir)
     splits, meta = _load_splits(r["data"])
     if not splits.get("train"):
         raise DataError("dataset has no training windows")
-    model_cfg = ModelConfig(
-        n_variates=int(meta["n_variates"]), conv_channels=int(r["channels"]),
-        kernel_size=int(r["kernel_size"]), dim=int(r["dim"]), heads=int(r["heads"]),
-        blocks=int(r["blocks"]), pool_stride=int(r["stride"]),
-        tau_init=float(r["tau"]), first_gap=str(r["first_gap"]), seed=int(r["seed"]))
-    train_cfg = TrainConfig(
-        epochs=int(r["epochs"]), batch_size=int(r["batch_size"]), lr=float(r["lr"]),
-        grad_clip=None if r["grad_clip"] is None else float(r["grad_clip"]),
-        seed=int(r["seed"]))
+    model_cfg = build(ModelConfig, r, n_variates=int(meta["n_variates"]))
+    train_cfg = build(TrainConfig, r)
     scaler = data_mod.Standardizer.fit(splits["train"])
     scaled = {k: [scaler.transform_item(it) for it in v] for k, v in splits.items()}
     model = SedFormer(model_cfg)
@@ -211,8 +235,6 @@ def cmd_train(args) -> int:
 
 # -- eval ------------------------------------------------------------------------
 
-EVAL_DEFAULTS = {"data": None, "checkpoint": None, "split": "test"}
-
 
 def _load_model_and_scaler(ckpt_path: str):
     if not ckpt_path or not os.path.exists(ckpt_path):
@@ -232,20 +254,8 @@ def _load_model_and_scaler(ckpt_path: str):
     return model, scaler
 
 
-def _eval_split(model: SedFormer, scaler, items) -> dict:
-    """Metrics in raw units: scale inputs, predict, invert, pool errors."""
-    errs = []
-    for item in items:
-        inp = scaler.transform_item(item) if scaler else item
-        preds = model.predict(inp.series, item.query_times)
-        if scaler:
-            preds = scaler.inverse(preds)
-        errs.append(flat_errors(preds, item.targets))
-    return flat_metrics(np.concatenate(errs) if errs else np.zeros(0))
-
-
 def cmd_eval(args) -> int:
-    r = _resolve(EVAL_DEFAULTS, args)
+    r = _resolve(args)
     out = _out_dir(args.out_dir)
     splits, meta = _load_splits(r["data"])
     model, scaler = _load_model_and_scaler(r["checkpoint"])
@@ -258,7 +268,7 @@ def cmd_eval(args) -> int:
         w = csv.writer(f)
         w.writerow(["rate", "split", "mse", "mae", "n_queries"])
         for s in wanted:
-            m = _eval_split(model, scaler, splits[s])
+            m = evaluate(model, splits[s], scaler)  # errors in raw units
             w.writerow([rate, s, repr(m["mse"]), repr(m["mae"]), m["n_queries"]])
             print(f"{s}: mse={m['mse']:.6f} mae={m['mae']:.6f} n={m['n_queries']}")
     with open(os.path.join(out, "baselines.csv"), "w", newline="") as f:
@@ -275,22 +285,11 @@ def cmd_eval(args) -> int:
 
 # -- viz -------------------------------------------------------------------------
 
-VIZ_DEFAULTS = {
-    "sparse": 12, "dense": 40, "noise_std": 0.02, "theta": 0.3,
-    "kernel": (0.25, 0.5, 0.25), "tau_c": 1.0, "grid": 100, "seed": 0,
-    "tau": 2.0, "v_th": 0.5, "gamma": 1.0,
-}
-
 
 def cmd_viz(args) -> int:
-    r = _resolve(VIZ_DEFAULTS, args)
+    r = _resolve(args)
     out = _out_dir(args.out_dir)
-    cfg = data_mod.VizConfig(
-        n_sparse=int(r["sparse"]), n_dense=int(r["dense"]),
-        noise_std=float(r["noise_std"]), delta_threshold=float(r["theta"]),
-        conv_kernel=tuple(r["kernel"]), conv_threshold=float(r["tau_c"]),
-        grid_size=int(r["grid"]), seed=int(r["seed"]), tau=float(r["tau"]),
-        v_th=float(r["v_th"]), gamma=float(r["gamma"]))
+    cfg = build(data_mod.VizConfig, r)
     series = data_mod.synth_viz_series(cfg)
     encoders = data_mod.baseline_encoders(series, cfg)
     paths = viz_mod.write_raster(os.path.join(out, "viz"), series, encoders)
@@ -301,14 +300,9 @@ def cmd_viz(args) -> int:
 
 # -- energy ----------------------------------------------------------------------
 
-ENERGY_DEFAULTS = {
-    "data": None, "checkpoint": None, "split": "test", "grid_steps": None,
-    "e_mac": 4.6, "e_add": 0.9, "e_acc": 0.9, "e_cmp": 0.1, "e_rd": 5.0, "e_wr": 5.0,
-}
-
 
 def cmd_energy(args) -> int:
-    r = _resolve(ENERGY_DEFAULTS, args)
+    r = _resolve(args)
     out = _out_dir(args.out_dir)
     splits, _meta = _load_splits(r["data"])
     model, scaler = _load_model_and_scaler(r["checkpoint"])
@@ -317,10 +311,7 @@ def cmd_energy(args) -> int:
     items = splits[r["split"]]
     if scaler:
         items = [scaler.transform_item(it) for it in items]
-    em = EnergyModel(e_mac=float(r["e_mac"]), e_add=float(r["e_add"]),
-                     e_acc=float(r["e_acc"]), e_cmp=float(r["e_cmp"]),
-                     e_rd=float(r["e_rd"]), e_wr=float(r["e_wr"]))
-    report = model_energy_report(model, items, em, grid_steps=r["grid_steps"])
+    report = model_energy_report(model, items, build(EnergyModel, r), grid_steps=r["grid_steps"])
     with open(os.path.join(out, "energy.json"), "w") as f:
         json.dump(report, f, sort_keys=True, indent=2)
         f.write("\n")
@@ -336,84 +327,54 @@ def cmd_energy(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+# How a config flag parses where its field's default does not tell; every
+# other one takes the type of that default.
+PARSE = {"rate": {"type": _rate}, "kernel": {"type": _kernel}, "grad_clip": {"type": float},
+         "first_gap": {"choices": ["zero", "median"]}}
+
+
 def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sedformer", exit_on_error=exit_on_error,
                                 description="Event-synchronous spiking forecaster")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name, summary):
-        sp = sub.add_parser(name, help=summary, exit_on_error=exit_on_error)
+    parsers = {}
+    for name, func, summary in (("prepare", cmd_prepare, "clean, sparsify and window a corpus"),
+                                ("train", cmd_train, "train on a prepared dataset"),
+                                ("eval", cmd_eval, "evaluate a checkpoint"),
+                                ("viz", cmd_viz, "spike-raster dataset, CSVs and SVG"),
+                                ("energy", cmd_energy, "operation counts and energy estimate")):
+        sp = parsers[name] = sub.add_parser(name, help=summary, exit_on_error=exit_on_error)
+        sp.set_defaults(func=func)
         sp.add_argument("--out-dir", default=".", help="output directory "
                         f"(relative paths join ${OUT_ROOT_ENV})")
-        sp.add_argument("--config", default=None,
-                        help="JSON file overriding command defaults")
-        return sp
+        sp.add_argument("--config", help="JSON file overriding command defaults")
 
-    sp = command("prepare", "clean, sparsify and window a corpus")
+    sp = parsers["prepare"]
     sp.add_argument("--corpus", help="wide daily CSV (rows=variates)")
     sp.add_argument("--synthetic", action="store_true", default=None,
                     help="generate the seeded synthetic suite instead")
     sp.add_argument("--variates", type=int, help="keep the first N corpus rows")
-    sp.add_argument("--rate", type=_rate, help="sparsifying rate in [0, 1]")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--window-stride", type=int, dest="window_stride")
-    sp.add_argument("--gap-cap", type=int, dest="gap_cap")
-    sp.add_argument("--mad-window", type=int, dest="mad_window")
-    sp.add_argument("--outlier-mult", type=float, dest="outlier_mult")
-    sp.add_argument("--series", type=int, help="synthetic: number of panels")
-    sp.add_argument("--synth-variates", type=int, dest="synth_variates")
-    sp.add_argument("--days", type=int, help="synthetic: days per panel")
-    sp.set_defaults(func=cmd_prepare)
+    sp.add_argument("--window-stride", type=int,
+                    help=f"days between window starts (default {data_mod.WINDOW_STRIDE})")
+    parsers["train"].add_argument("--data", help="prepared dataset directory")
+    for name, splits in (("eval", ["train", "val", "test", "all"]),
+                         ("energy", ["train", "val", "test"])):
+        parsers[name].add_argument("--data", help="prepared dataset directory")
+        parsers[name].add_argument("--checkpoint", help="a train run's checkpoint.json")
+        parsers[name].add_argument("--split", choices=splits)
+    parsers["energy"].add_argument("--grid-steps", type=int, help="dense-reference steps")
 
-    sp = command("train", "train on a prepared dataset")
-    sp.add_argument("--data", help="prepared dataset directory")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--grad-clip", type=float, dest="grad_clip")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--tau", type=float, help="initial membrane time constant")
-    sp.add_argument("--stride", type=int, help="event pooling stride")
-    sp.add_argument("--blocks", type=int, help="number of attention blocks")
-    sp.add_argument("--dim", type=int, help="token dimension")
-    sp.add_argument("--heads", type=int)
-    sp.add_argument("--channels", type=int, help="encoder conv channels")
-    sp.add_argument("--kernel-size", type=int, dest="kernel_size")
-    sp.add_argument("--first-gap", choices=["zero", "median"], dest="first_gap")
-    sp.set_defaults(func=cmd_train)
-
-    sp = command("eval", "evaluate a checkpoint")
-    sp.add_argument("--data")
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--split", choices=["train", "val", "test", "all"])
-    sp.set_defaults(func=cmd_eval)
-
-    sp = command("viz", "spike-raster dataset, CSVs and SVG")
-    sp.add_argument("--sparse", type=int, help="samples in the sparse phase")
-    sp.add_argument("--dense", type=int, help="samples in the dense phase")
-    sp.add_argument("--noise-std", type=float, dest="noise_std")
-    sp.add_argument("--theta", type=float, help="change/current threshold")
-    sp.add_argument("--kernel", type=_kernel, help="comma-separated smoothing kernel")
-    sp.add_argument("--tau-c", type=float, dest="tau_c", help="z-score threshold")
-    sp.add_argument("--grid", type=int, help="regular-grid size")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--tau", type=float, help="reference decay constant")
-    sp.add_argument("--v-th", type=float, dest="v_th")
-    sp.add_argument("--gamma", type=float)
-    sp.set_defaults(func=cmd_viz)
-
-    sp = command("energy", "operation counts and energy estimate")
-    sp.add_argument("--data")
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--split", choices=["train", "val", "test"])
-    sp.add_argument("--grid-steps", type=int, dest="grid_steps")
-    sp.add_argument("--e-mac", type=float, dest="e_mac")
-    sp.add_argument("--e-add", type=float, dest="e_add")
-    sp.add_argument("--e-acc", type=float, dest="e_acc")
-    sp.add_argument("--e-cmp", type=float, dest="e_cmp")
-    sp.add_argument("--e-rd", type=float, dest="e_rd")
-    sp.add_argument("--e-wr", type=float, dest="e_wr")
-    sp.set_defaults(func=cmd_energy)
+    for name, (configs, _) in COMMANDS.items():
+        added = set()
+        for cls in configs:
+            field_defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            for flag, field in FLAGS[cls].items():
+                if flag not in added:
+                    added.add(flag)
+                    parsers[name].add_argument(
+                        "--" + flag.replace("_", "-"),
+                        help=f"{cls.__name__}.{field} (default {field_defaults[field]!r})",
+                        **PARSE.get(flag, {"type": type(field_defaults[field])}))
     return p
 
 

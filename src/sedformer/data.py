@@ -32,6 +32,9 @@ from .training import WindowItem
 HISTORY_DAYS = 90
 HORIZON_DAYS = 30
 WINDOW_DAYS = HISTORY_DAYS + HORIZON_DAYS
+# Days between window starts; each panel's train/val/test shares of its windows.
+WINDOW_STRIDE = 30
+SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
 
 
 @dataclass
@@ -283,7 +286,7 @@ def mcar_sparsify(length: int, rate: float, seed: int, series_index: int = 0) ->
 
 
 def make_windows(values: np.ndarray, keep_mask: np.ndarray,
-                 stride: int = 30, min_events: int = 1) -> list[WindowItem]:
+                 stride: int = WINDOW_STRIDE, min_events: int = 1) -> list[WindowItem]:
     """Cut one cleaned panel [D, T] into rolling history/horizon windows.
 
     History holds only kept observations (times relative to window start,
@@ -331,15 +334,12 @@ def make_windows(values: np.ndarray, keep_mask: np.ndarray,
     return items
 
 
-def split_windows(items: list[WindowItem],
-                  fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)) -> dict:
-    """Chronological split of one panel's windows into train/val/test."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
+def split_windows(items: list[WindowItem]) -> dict:
+    """Chronological train/val/test split of one panel's windows (``SPLIT_FRACTIONS``)."""
     n = len(items)
     # cumulative boundaries keep val nonempty on small panels (5 -> 3/1/1)
-    a = int(np.floor(fractions[0] * n + 1e-9))
-    b = int(np.floor((fractions[0] + fractions[1]) * n + 1e-9))
+    a = int(np.floor(SPLIT_FRACTIONS[0] * n + 1e-9))
+    b = int(np.floor((SPLIT_FRACTIONS[0] + SPLIT_FRACTIONS[1]) * n + 1e-9))
     return {"train": items[:a], "val": items[a:b], "test": items[b:]}
 
 
@@ -418,6 +418,12 @@ class Standardizer:
 # Checked before the first panel allocates anything.
 MAX_SUITE_CELLS = 10**7
 
+# The suite's observation noise and burst schedule: bursts and quiet stretches
+# last a uniform number of days in [lo, hi) and keep a day with this probability.
+SUITE_NOISE_STD = 0.02
+BURST_DAYS, QUIET_DAYS = (9, 13), (12, 18)
+BURST_KEEP, QUIET_KEEP = 0.95, 0.05
+
 
 @dataclass
 class SuiteConfig:
@@ -432,12 +438,7 @@ class SuiteConfig:
     n_variates: int = 4
     n_days: int = 240
     rate: float = 0.5
-    noise_std: float = 0.02
     bursts: bool = False
-    burst_days: tuple[int, int] = (9, 13)
-    quiet_days: tuple[int, int] = (12, 18)
-    burst_keep: float = 0.95
-    quiet_keep: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -467,7 +468,7 @@ def synth_suite_panel(cfg: SuiteConfig, series_index: int) -> tuple[np.ndarray, 
         phase = rng.uniform(0.0, 2.0 * np.pi)
         # total drift comparable to the amplitude whatever the panel length
         slope = rng.uniform(-1.2, 1.2) / T
-        noise = rng.normal(0.0, cfg.noise_std, size=T)
+        noise = rng.normal(0.0, SUITE_NOISE_STD, size=T)
         values[d] = amp * np.sin(2.0 * np.pi * t / period + phase) + slope * t + noise
     if cfg.bursts:
         # shared burst schedule, independent per-variate keep draws
@@ -476,10 +477,9 @@ def synth_suite_panel(cfg: SuiteConfig, series_index: int) -> tuple[np.ndarray, 
         pos = 0
         in_burst = True
         while pos < T:
-            span = int(sched_rng.integers(*cfg.burst_days) if in_burst
-                       else sched_rng.integers(*cfg.quiet_days))
-            keep_prob[pos:pos + span] = (cfg.burst_keep if in_burst
-                                         else cfg.quiet_keep)
+            span = int(sched_rng.integers(*BURST_DAYS) if in_burst
+                       else sched_rng.integers(*QUIET_DAYS))
+            keep_prob[pos:pos + span] = BURST_KEEP if in_burst else QUIET_KEEP
             pos += span
             in_burst = not in_burst
         avail_rng = np.random.default_rng([cfg.seed, series_index, 2])
@@ -493,7 +493,7 @@ def synth_suite_panel(cfg: SuiteConfig, series_index: int) -> tuple[np.ndarray, 
     return values, mask
 
 
-def synth_suite(cfg: SuiteConfig, window_stride: int = 30,
+def synth_suite(cfg: SuiteConfig, window_stride: int = WINDOW_STRIDE,
                 min_events: int = 16) -> dict:
     """Full suite: per-series panels, windowed and chronologically split.
 
@@ -514,11 +514,17 @@ def synth_suite(cfg: SuiteConfig, window_stride: int = 30,
 # -- visualization dataset -----------------------------------------------------------
 
 
+# The visualization series spans [0, VIZ_HORIZON] days.
+VIZ_HORIZON = 100.0
+# Most samples of each phase and of the grid: with all three there a run took
+# 3.8 s and 90 MiB RSS and wrote 38 MB (2 CPUs); at 10^6, 43 s, 565 MiB, 367 MB.
+MAX_VIZ_SAMPLES = 10**5
+
+
 @dataclass
 class VizConfig:
     """One-variate series with a sparse phase and two dense bursts."""
 
-    horizon: float = 100.0
     n_sparse: int = 12
     n_dense: int = 40
     noise_std: float = 0.02
@@ -532,10 +538,13 @@ class VizConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.n_sparse < 1 or self.n_dense < 1:
-            raise ConfigError("need at least one sample in each phase")
-        if self.grid_size < 2:
-            raise ConfigError("grid needs at least 2 points")
+        for name, low in (("n_sparse", 1), ("n_dense", 1), ("grid_size", 2)):
+            if not low <= getattr(self, name) <= MAX_VIZ_SAMPLES:
+                raise ConfigError(f"{name} must lie in [{low}, {MAX_VIZ_SAMPLES}], "
+                                  f"got {getattr(self, name)}")
+        if not 1 <= len(self.conv_kernel) <= self.grid_size:
+            raise ConfigError(f"smoothing kernel needs 1 to grid_size={self.grid_size} "
+                              f"weights, got {len(self.conv_kernel)}")
         for name in ("noise_std", "delta_threshold", "conv_threshold", "tau", "v_th", "gamma"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -563,10 +572,10 @@ def synth_viz_series(cfg: VizConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     t_sparse = np.sort(rng.uniform(0.0, 60.0, size=cfg.n_sparse))
     lo = np.nextafter(60.0, np.inf)
-    t_dense = np.sort(rng.uniform(lo, cfg.horizon, size=cfg.n_dense))
+    t_dense = np.sort(rng.uniform(lo, VIZ_HORIZON, size=cfg.n_dense))
     t_irr = np.concatenate([t_sparse, t_dense])
     x_irr = viz_baseline(t_irr) + rng.normal(0.0, cfg.noise_std, size=t_irr.size)
-    t_grid = np.linspace(0.0, cfg.horizon, cfg.grid_size)
+    t_grid = np.linspace(0.0, VIZ_HORIZON, cfg.grid_size)
     x_grid = viz_baseline(t_grid) + rng.normal(0.0, cfg.noise_std, size=t_grid.size)
     return {"t_irr": t_irr, "x_irr": x_irr, "t_grid": t_grid, "x_grid": x_grid}
 
@@ -581,29 +590,32 @@ def baseline_encoders(data: dict, cfg: VizConfig) -> dict:
     """
     x_grid = np.asarray(data["x_grid"], dtype=np.float64)
     t_grid = np.asarray(data["t_grid"], dtype=np.float64)
-    # change-detection on the grid: first sample never fires
-    d_spk = np.zeros(t_grid.size)
-    d_spk[1:] = (np.abs(np.diff(x_grid)) >= cfg.delta_threshold).astype(np.float64)
-    # smoothing kernel + z-score threshold on the grid
+    t_irr = np.asarray(data["t_irr"], dtype=np.float64)
+    x_irr = np.asarray(data["x_irr"], dtype=np.float64)
     kern = np.asarray(cfg.conv_kernel, dtype=np.float64)
+    # a change or threshold gap that overflows still compares right; the check
+    # below turns any other overflow of extreme settings into an error
     with np.errstate(over="ignore", invalid="ignore"):
+        # change-detection on the grid: first sample never fires
+        d_spk = np.zeros(t_grid.size)
+        d_spk[1:] = (np.abs(np.diff(x_grid)) >= cfg.delta_threshold).astype(np.float64)
+        # smoothing kernel + z-score threshold on the grid
         y = np.convolve(x_grid, kern, mode="same")
         sd = y.std()
-    if not (np.all(np.isfinite(y)) and np.isfinite(sd)):
-        raise ConfigError(f"smoothing kernel {tuple(kern.tolist())} overflows the "
-                          "z-score of the smoothed series; use smaller weights")
+        # event-driven recurrence on the irregular stamps; tau <= 1 has no eta,
+        # so beta comes from tau directly
+        beta = np.exp(-event_gaps(t_irr) / cfg.tau)[:, None]  # one channel: [K, 1]
+        drive = (1.0 - beta) * cfg.gamma * (x_irr[:, None] - cfg.delta_threshold)
+        m, _ = ealif_recurrence(beta, drive, cfg.v_th)
+        e_spk = heaviside(m[:, 0] - cfg.v_th)
+    if not (np.all(np.isfinite(y)) and np.isfinite(sd) and np.all(np.isfinite(m))):
+        raise ConfigError(f"the reference encoders overflow at smoothing kernel "
+                          f"{tuple(kern.tolist())}, noise_std={cfg.noise_std:g}, theta="
+                          f"{cfg.delta_threshold:g} and gamma={cfg.gamma:g}; use smaller ones")
     if sd == 0.0:
         c_spk = np.zeros(t_grid.size)
     else:
         c_spk = (((y - y.mean()) / sd) >= cfg.conv_threshold).astype(np.float64)
-    # event-driven recurrence on the irregular stamps; tau <= 1 has no eta,
-    # so beta comes from tau directly
-    t_irr = np.asarray(data["t_irr"], dtype=np.float64)
-    x_irr = np.asarray(data["x_irr"], dtype=np.float64)
-    beta = np.exp(-event_gaps(t_irr) / cfg.tau)[:, None]  # one channel: [K, 1]
-    drive = (1.0 - beta) * cfg.gamma * (x_irr[:, None] - cfg.delta_threshold)
-    m, _ = ealif_recurrence(beta, drive, cfg.v_th)
-    e_spk = heaviside(m[:, 0] - cfg.v_th)
     return {"delta": (t_grid, d_spk), "conv": (t_grid, c_spk), "event": (t_irr, e_spk)}
 
 
@@ -706,8 +718,18 @@ def read_dataset(data_dir: str) -> tuple[dict, dict]:
     return splits, meta
 
 
+def dataset_meta(source: str, splits: dict, n_variates: int, n_days: int, rate: float,
+                 seed: int, window_stride: int, **extra) -> dict:
+    """meta.json of a prepared dataset, plus its source's ``extra`` entries
+    (a suite's ``n_series``; a corpus's ``ids`` and ``clean``)."""
+    return {"source": source, "n_variates": n_variates, "n_days": n_days, "rate": rate,
+            "seed": seed, "history_days": HISTORY_DAYS, "horizon_days": HORIZON_DAYS,
+            "window_stride": window_stride, "splits": {k: len(v) for k, v in splits.items()},
+            **extra}
+
+
 def prepare_corpus(csv_path: str, clean_cfg: CleanConfig, n_variates: int | None = None,
-                   window_stride: int = 30) -> tuple[dict, dict]:
+                   window_stride: int = WINDOW_STRIDE) -> tuple[dict, dict]:
     """Full ingestion pipeline for one wide CSV: clean, sparsify, window, split."""
     ids, raw = load_csv(csv_path, n_variates=n_variates)
     D, T = raw.shape
@@ -716,18 +738,8 @@ def prepare_corpus(csv_path: str, clean_cfg: CleanConfig, n_variates: int | None
                      for d in range(D)])
     items = make_windows(cleaned, mask, stride=window_stride)
     splits = split_windows(items)
-    meta = {
-        "source": os.path.basename(csv_path),
-        "ids": ids,
-        "n_variates": D,
-        "n_days": T,
-        "rate": clean_cfg.rate,
-        "seed": clean_cfg.seed,
-        "clean": {"window": clean_cfg.window, "gap_cap": clean_cfg.gap_cap,
-                  "outlier_mult": clean_cfg.outlier_mult},
-        "history_days": HISTORY_DAYS,
-        "horizon_days": HORIZON_DAYS,
-        "window_stride": window_stride,
-        "splits": {k: len(v) for k, v in splits.items()},
-    }
+    meta = dataset_meta(os.path.basename(csv_path), splits, D, T, clean_cfg.rate,
+                        clean_cfg.seed, window_stride, ids=ids,
+                        clean={"window": clean_cfg.window, "gap_cap": clean_cfg.gap_cap,
+                               "outlier_mult": clean_cfg.outlier_mult})
     return splits, meta

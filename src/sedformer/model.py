@@ -46,9 +46,10 @@ EVAL_ROWS = 4096
 # The D*C*k kernel weights take 2 MiB per variate at the bounds.
 MAX_DIM, MAX_CHANNELS, MAX_KERNEL_SIZE, MAX_BLOCKS = 1024, 1024, 255, 8
 
-# Fixed settings (ModelConfig fields in older checkpoints, as are the
-# neuron's V_TH and ALPHA_STE): time-embedding stamp scale in days, attention eps.
-TE_SPAN, ATTENTION_EPS = 90.0, 1e-6
+# Time-embedding stamp scale in days: a fixed setting (a ModelConfig field in
+# older checkpoints, as are the neuron's V_TH and ALPHA_STE and the backbone's
+# ATTENTION_EPS).
+TE_SPAN = 90.0
 
 
 def batch_ranges(series: list[EventSeries], n_queries: list[int] | None = None,
@@ -228,8 +229,7 @@ class SedFormer(Module):
             rng.normal(0.0, 1.0 / np.sqrt(c.conv_channels), size=(c.conv_channels, c.dim)))
         self.te = TimeEmbedding(c.dim, span=TE_SPAN)  # tokens and decoder queries
         self.blocks = [
-            Block(c.dim, c.heads, tau_init=c.tau_init, eps=ATTENTION_EPS,
-                  seed=c.seed + 10 + i)
+            Block(c.dim, c.heads, tau_init=c.tau_init, seed=c.seed + 10 + i)
             for i in range(c.blocks)
         ]
         self.decoder = Decoder(c.dim, seed=c.seed + 4)

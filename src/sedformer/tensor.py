@@ -710,13 +710,14 @@ class BatchNorm(Module):
     each such write calls ``stats_written``. There is no per-batch mode.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5):
+    eps = 1e-5  # added to the variance
+
+    def __init__(self, channels: int):
         self.channels = int(channels)
         self.gamma = parameter(np.ones(channels))
         self.beta = parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.eps = float(eps)
         self._acc = None
 
     def start_accumulation(self) -> None:

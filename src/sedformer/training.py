@@ -16,7 +16,8 @@ import numpy as np
 
 from .encoder import EventSeries
 from .errors import ConfigError, DataError, NumericsError
-from .model import ATTENTION_EPS, TE_SPAN, ModelConfig, SedFormer, batch_ranges, eval_batches
+from .backbone import ATTENTION_EPS
+from .model import TE_SPAN, ModelConfig, SedFormer, batch_ranges, eval_batches
 from .neuron import ALPHA_STE, V_TH
 from .tensor import Tensor, accumulate_grad, assert_finite, make_op, no_grad
 
@@ -180,7 +181,7 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def evaluate(model: SedFormer, items: list[WindowItem]) -> dict:
+def evaluate(model: SedFormer, items: list[WindowItem], scaler=None) -> dict:
     """Pooled metrics in inference mode (hard spikes, no tape).
 
     Windows run in batches of like length (``eval_batches``): in order of
@@ -188,15 +189,20 @@ def evaluate(model: SedFormer, items: list[WindowItem]) -> dict:
     ``neuron.EVENT_PATH_MIN_K`` events on. Each prediction equals that of
     a ``predict`` call on its window alone (to 1e-12), and the errors pool
     in item order, whatever order the batches ran in.
+
+    With a ``scaler`` (a ``data.Standardizer``) the items are raw: each window
+    is scaled on the way in and its predictions unscaled on the way out.
     """
+    inputs = items if scaler is None else [scaler.transform_item(item) for item in items]
     errs = [None] * len(items)
     with no_grad():
-        for run in eval_batches([item.series for item in items],
-                                [item.n_queries for item in items]):
-            batch = [items[i] for i in run]
-            preds = model.forward([item.series for item in batch],
-                                  [item.query_times for item in batch])
+        for run in eval_batches([item.series for item in inputs],
+                                [item.n_queries for item in inputs]):
+            preds = model.forward([inputs[i].series for i in run],
+                                  [inputs[i].query_times for i in run])
             for i, p in zip(run, preds):
+                if scaler is not None:
+                    p = scaler.inverse([None if t is None else t.data for t in p])
                 errs[i] = flat_errors(p, items[i].targets)
     e = np.concatenate(errs) if errs else np.zeros(0)
     assert_finite(e, "prediction errors")

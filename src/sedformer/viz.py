@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+SVG_WIDTH, SVG_HEIGHT = 900, 460  # pixels
+
 
 def write_spike_csv(path: str, encoders: dict) -> None:
     """Rows (time, encoder, spike) for every sample slot of every encoder."""
@@ -35,8 +37,7 @@ def write_series_csv(path: str, data: dict) -> None:
             w.writerow([repr(float(t)), "grid", repr(float(x))])
 
 
-def render_raster_svg(data: dict, encoders: dict,
-                      width: int = 900, height: int = 460) -> str:
+def render_raster_svg(data: dict, encoders: dict) -> str:
     """Well-formed SVG: series panel plus one tick row per encoder."""
     t_all = np.concatenate([np.asarray(data["t_irr"]), np.asarray(data["t_grid"])])
     x_all = np.concatenate([np.asarray(data["x_irr"]), np.asarray(data["x_grid"])])
@@ -46,7 +47,7 @@ def render_raster_svg(data: dict, encoders: dict,
         t_hi = t_lo + 1.0
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    left, right, top = 60.0, width - 20.0, 20.0
+    left, right, top = 60.0, SVG_WIDTH - 20.0, 20.0
     panel_h = 150.0
     row_h, row_gap = 50.0, 24.0
 
@@ -57,9 +58,9 @@ def render_raster_svg(data: dict, encoders: dict,
         return top + (x_hi - x) / (x_hi - x_lo) * panel_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<text x="{left}" y="{top - 6:.1f}" font-size="12" fill="#333">'
         f'input series (line: grid, dots: irregular samples)</text>',
     ]

@@ -1,18 +1,30 @@
 """Command-line workflow: prepare, train, eval, energy, viz."""
 
+import argparse
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import os
 import re
 import resource
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sedformer
-from sedformer.cli import main
+from sedformer import ModelConfig, Standardizer, read_dataset
+from sedformer.cli import COMMANDS, FLAGS, build, build_parser, defaults, main
+from sedformer.model import eval_batches
+from sedformer.training import flat_errors, flat_metrics, load_checkpoint
 
 TINY_TRAIN = ["--epochs", "1", "--dim", "8", "--heads", "2", "--blocks", "1", "--stride", "2",
               "--channels", "4"]
@@ -365,6 +377,7 @@ INVALID_SETTINGS = [  # (command, flags, the setting the error must name)
     ("eval", ["--checkpoint", "{data}/train.csv"], "checkpoint"),
     ("energy", ["--e-mac", "1e308"], "e_mac=1e+308"),
     ("train", ["--lr", "1e300"], "lr (now 1e+300) or set a smaller grad_clip"),
+    ("viz", ["--grid", "3", "--kernel", "0.2,0.2,0.2,0.2,0.2"], "grid_size=3"),
 ]
 
 # Sizes far past their bounds (a suite of 8e9 cells, ~2.4e11 parameters, 1e9
@@ -378,6 +391,9 @@ SIZE_SETTINGS = [
     ("train", ["--channels", "1000000000"], "conv_channels must lie in"),
     ("train", ["--kernel-size", "1000000001"], "kernel_size must lie in"),
     ("train", ["--blocks", "1000000000"], "blocks must lie in"),
+    ("viz", ["--grid", "1000000000"], "grid_size must lie in"),
+    ("viz", ["--dense", "1000000000"], "n_dense must lie in"),
+    ("viz", ["--sparse", "1000000000"], "n_sparse must lie in"),
 ]
 INVALID_SETTINGS += SIZE_SETTINGS
 ADDRESS_CAP = 2 * 2**30
@@ -420,3 +436,161 @@ def test_invalid_setting_exits_2(tmp_path, workdir, capsys, command, flags, fiel
     assert "error:" in err and field in err and "Traceback" not in err
     for path in (p for p in out.rglob("*") if p.is_file()):
         assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), path
+
+
+# -- settings: each default lives in its config's dataclass ---------------------------
+
+# The flags of each command that name an input instead of setting a config field.
+INPUT_FLAGS = {"prepare": {"corpus", "synthetic", "variates", "window_stride"},
+               "train": {"data"}, "eval": {"data", "checkpoint", "split"},
+               "energy": {"data", "checkpoint", "split", "grid_steps"}, "viz": set()}
+
+
+def subcommands() -> dict:
+    """The subparsers of ``build_parser()``, by command name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_flag_sets_a_config_field_or_names_an_input():
+    """A flag that sets a config field is in ``FLAGS``; no flag has a default
+    of its own (an unset flag parses to None), so the field's is the one."""
+    for command, parser in subcommands().items():
+        dests = {a.dest for a in parser._actions if a.dest not in ("help", "out_dir", "config")}
+        configs, inputs = COMMANDS[command]
+        table_flags = {flag for cls in configs for flag in FLAGS[cls]}
+        assert set(inputs) == INPUT_FLAGS[command]
+        assert not table_flags & INPUT_FLAGS[command]
+        assert dests == table_flags | INPUT_FLAGS[command], command
+        assert all(a.default is None for a in parser._actions if a.dest in dests), command
+
+
+def test_flag_defaults_are_their_fields_defaults():
+    for command, (configs, _) in COMMANDS.items():
+        resolved = defaults(command)
+        for cls in configs:
+            field_defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            for flag, name in FLAGS[cls].items():
+                assert resolved[flag] == field_defaults[name], (command, flag)
+            required = {"n_variates": 4} if cls is ModelConfig else {}
+            assert build(cls, resolved, **required) == cls(**required)
+
+
+def test_shared_flags_have_one_default():
+    """A flag that sets fields of two configs sets both, so their defaults agree."""
+    shared = {}
+    for command, (configs, _) in COMMANDS.items():
+        owners = {}
+        for cls in configs:
+            field_defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            for flag, name in FLAGS[cls].items():
+                owners.setdefault(flag, []).append(field_defaults[name])
+        shared[command] = {flag for flag, values in owners.items() if len(values) > 1}
+        assert all(len(set(owners[flag])) == 1 for flag in shared[command]), command
+    assert shared == {"prepare": {"rate", "seed"}, "train": {"seed"}, "eval": set(),
+                      "viz": set(), "energy": set()}
+
+
+def test_eval_scores_raw_units_like_per_window_predict(tmp_path, workdir):
+    """``sedformer eval`` pools the same raw-unit errors as a ``predict`` per
+    window followed by the scaler's inverse, over several evaluate batches."""
+    data = str(tmp_path / "data")
+    assert main(["prepare", "--synthetic", "--series", "2", "--days", "600",
+                 "--out-dir", data]) == 0
+    out = tmp_path / "out"
+    assert main(["eval", "--data", data, "--checkpoint", workdir["ckpt"], "--split", "train",
+                 "--out-dir", str(out)]) == 0
+    with open(out / "metrics.csv", newline="") as f:
+        row = next(csv.DictReader(f))
+    items = read_dataset(data)[0]["train"]
+    assert len(eval_batches([it.series for it in items], [it.n_queries for it in items])) >= 2
+    model = load_checkpoint(workdir["ckpt"])
+    scaler = Standardizer.from_dict(json.loads(Path(workdir["run"], "scaler.json").read_text()))
+    errs = [flat_errors(scaler.inverse(model.predict(scaler.transform_item(it).series,
+                                                     it.query_times)), it.targets)
+            for it in items]
+    expected = flat_metrics(np.concatenate(errs))
+    assert float(row["mse"]) == pytest.approx(expected["mse"], rel=1e-12, abs=0)
+    assert int(row["n_queries"]) == expected["n_queries"]
+
+
+REPLAYS = {  # command -> tiny inputs; "{data}"/"{ckpt}": the prepared dataset and its run
+    "prepare": ["--synthetic", "--series", "1", "--days", "150", "--seed", "3"],
+    "train": ["--data", "{data}", *TINY_TRAIN],
+    "eval": ["--data", "{data}", "--checkpoint", "{ckpt}", "--split", "all"],
+    "energy": ["--data", "{data}", "--checkpoint", "{ckpt}", "--grid-steps", "40"],
+    "viz": ["--grid", "50", "--kernel", "0.2,0.6,0.2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYS))
+def test_config_json_replays(tmp_path, workdir, command):
+    """A run's config.json given back as --config reproduces every output byte."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = [a.format(**workdir) for a in REPLAYS[command]]
+    assert main([command, *argv, "--out-dir", str(first)]) == 0
+    assert main([command, "--config", str(first / "config.json"), "--out-dir", str(again)]) == 0
+    files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file())
+    for name in files:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_config_of_another_command_exits_2(tmp_path, workdir, capsys):
+    train_config = os.path.join(workdir["run"], "config.json")
+    assert main(["eval", "--config", train_config, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "\"command\" is 'train', not 'eval'" in err
+    assert "Traceback" not in err
+
+
+# -- fuzzing every flag -------------------------------------------------------------------
+
+# Values that violate some flag's type or range. Each size flag takes an int, so
+# from these it gets only 0, -1 or a parse error: no draw allocates much or runs long.
+VIOLATIONS = ["abc", "", "0", "-1", "nan", "inf", "-inf", "1e300", "1e308"]
+FUZZ_INPUTS = {  # valid tiny inputs that the drawn flags follow (and so override)
+    "prepare": ["--synthetic", "--series", "1", "--days", "150"],
+    "train": ["--data", "{data}", *TINY_TRAIN],
+    "eval": ["--data", "{data}", "--checkpoint", "{ckpt}"],
+    "energy": ["--data", "{data}", "--checkpoint", "{ckpt}"],
+    "viz": [],
+}
+
+
+@st.composite
+def invocations(draw):
+    """A command, then one to three of its flags, each set to a violating value."""
+    command = draw(st.sampled_from(sorted(FUZZ_INPUTS)))
+    actions = [a for a in subcommands()[command]._actions
+               if a.option_strings and a.dest not in ("help", "out_dir")]
+    chosen = draw(st.lists(st.sampled_from(actions), min_size=1, max_size=3,
+                           unique_by=lambda a: a.dest))
+    flags = [a.option_strings[0] if a.nargs == 0
+             else f"{a.option_strings[0]}={draw(st.sampled_from(VIOLATIONS))}" for a in chosen]
+    return command, flags
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invocation=invocations())
+def test_fuzz_every_flag_exits_0_or_2(workdir, invocation):
+    """Any value of any flag ends in exit 0 with finite numbers in every file
+    written, or in exit 2 with an error; never in a traceback."""
+    command, flags = invocation
+    argv = [a.format(**workdir) for a in FUZZ_INPUTS[command]] + flags
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory(dir=workdir["root"]) as out:
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            try:
+                rc = main([command, *argv, "--out-dir", out])
+            except SystemExit as e:  # argparse rejects the value
+                rc = e.code
+        assert rc == 0 or rc == 2 and "error:" in err.getvalue(), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        for path in (p for p in Path(out).rglob("*") if p.is_file()):
+            assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), \
+                (argv, path.name)

@@ -180,8 +180,6 @@ def test_split_windows_chronological():
     assert s["test"] == [8, 9]
     small = split_windows(list(range(5)))
     assert (len(small["train"]), len(small["val"]), len(small["test"])) == (3, 1, 1)
-    with pytest.raises(ConfigError):
-        split_windows(items, fractions=(0.5, 0.2, 0.2))
 
 
 def test_standardizer_roundtrip(rng):

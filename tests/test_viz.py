@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sedformer import VizConfig, baseline_encoders, synth_viz_series
+from sedformer.data import VIZ_HORIZON
 from sedformer.errors import ConfigError
 from sedformer.viz import render_raster_svg, write_raster
 
@@ -28,7 +29,7 @@ def test_series_structure(data):
     assert np.all(np.diff(t) > 0)
     assert np.all(t[:cfg.n_sparse] <= 60.0)
     assert np.all(t[cfg.n_sparse:] > 60.0)
-    assert np.array_equal(data["t_grid"], np.linspace(0.0, cfg.horizon, cfg.grid_size))
+    assert np.array_equal(data["t_grid"], np.linspace(0.0, VIZ_HORIZON, cfg.grid_size))
     assert synth_viz_series(VizConfig())["x_irr"] == pytest.approx(data["x_irr"])
 
 
