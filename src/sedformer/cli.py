@@ -204,18 +204,25 @@ def _load_splits(data_dir: str) -> tuple[dict, dict]:
     return data_mod.read_dataset(data_dir)
 
 
+def _windows(splits: dict, name: str) -> list:
+    """The windows of split ``name``, which the command cannot run without."""
+    if not splits.get(name):
+        counts = ", ".join(f"{k}={len(v)}" for k, v in splits.items())
+        raise DataError(f"split {name!r} has no window (the dataset has {counts or 'none'})")
+    return splits[name]
+
+
 def cmd_train(args) -> int:
     r = _resolve(args)
     out = _out_dir(args.out_dir)
     splits, meta = _load_splits(r["data"])
-    if not splits.get("train"):
-        raise DataError("dataset has no training windows")
+    used = {s: _windows(splits, s) for s in ("train", "val")}
     model_cfg = build(ModelConfig, r, n_variates=int(meta["n_variates"]))
     train_cfg = build(TrainConfig, r)
-    scaler = data_mod.Standardizer.fit(splits["train"])
-    scaled = {k: [scaler.transform_item(it) for it in v] for k, v in splits.items()}
+    scaler = data_mod.Standardizer.fit(used["train"])
+    scaled = {k: [scaler.transform_item(it) for it in v] for k, v in used.items()}
     model = SedFormer(model_cfg)
-    result = train(model, scaled["train"], scaled.get("val", []), train_cfg,
+    result = train(model, scaled["train"], scaled["val"], train_cfg,
                    log=lambda msg: print(msg))
     save_checkpoint(os.path.join(out, "checkpoint.json"), model)
     with open(os.path.join(out, "scaler.json"), "w") as f:
@@ -260,15 +267,13 @@ def cmd_eval(args) -> int:
     splits, meta = _load_splits(r["data"])
     model, scaler = _load_model_and_scaler(r["checkpoint"])
     wanted = list(splits) if r["split"] == "all" else [r["split"]]
-    for s in wanted:
-        if s not in splits:
-            raise DataError(f"split {s!r} not in dataset (has {sorted(splits)})")
+    items = {s: _windows(splits, s) for s in wanted}
     rate = meta.get("rate", float("nan"))
     with open(os.path.join(out, "metrics.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["rate", "split", "mse", "mae", "n_queries"])
         for s in wanted:
-            m = evaluate(model, splits[s], scaler)  # errors in raw units
+            m = evaluate(model, items[s], scaler)  # errors in raw units
             w.writerow([rate, s, repr(m["mse"]), repr(m["mae"]), m["n_queries"]])
             print(f"{s}: mse={m['mse']:.6f} mae={m['mae']:.6f} n={m['n_queries']}")
     with open(os.path.join(out, "baselines.csv"), "w", newline="") as f:
@@ -276,7 +281,7 @@ def cmd_eval(args) -> int:
         w.writerow(["baseline", "rate", "split", "mse", "mae", "n_queries"])
         for s in wanted:
             for kind in ("persistence", "mean"):
-                m = baseline_metrics(splits[s], kind)
+                m = baseline_metrics(items[s], kind)
                 w.writerow([kind, rate, s, repr(m["mse"]), repr(m["mae"]),
                             m["n_queries"]])
     _write_config(out, "eval", r)
@@ -306,9 +311,7 @@ def cmd_energy(args) -> int:
     out = _out_dir(args.out_dir)
     splits, _meta = _load_splits(r["data"])
     model, scaler = _load_model_and_scaler(r["checkpoint"])
-    if r["split"] not in splits:
-        raise DataError(f"split {r['split']!r} not in dataset (has {sorted(splits)})")
-    items = splits[r["split"]]
+    items = _windows(splits, r["split"])
     if scaler:
         items = [scaler.transform_item(it) for it in items]
     report = model_energy_report(model, items, build(EnergyModel, r), grid_steps=r["grid_steps"])

@@ -172,7 +172,7 @@ def query_mlp(a: Tensor, e: Tensor, rows: np.ndarray, cols: np.ndarray,
     def bwd(g):
         accumulate_grad(w3, h2.T @ g)
         accumulate_grad(b3, g.sum(axis=0))
-        g = g @ w3.data.T
+        g = g * w3.data.T  # [Q, 1] x [1, m]: an outer product, so no BLAS call
         g *= h2 > 0.0  # h > 0 exactly where its pre-activation is
         accumulate_grad(w2, h1.T @ g)
         accumulate_grad(b2, g.sum(axis=0))

@@ -544,6 +544,27 @@ def test_config_of_another_command_exits_2(tmp_path, workdir, capsys):
     assert "Traceback" not in err
 
 
+def test_empty_split_exits_2_naming_it(tmp_path, workdir, capsys):
+    """A 2-window panel splits 1/0/1: each command that needs its empty
+    validation split exits 2 naming it, and writes no file with a nan."""
+    data = str(tmp_path / "data")
+    assert main(["prepare", "--synthetic", "--series", "1", "--days", "150",
+                 "--out-dir", data]) == 0
+    assert {k: len(v) for k, v in read_dataset(data)[0].items()} == {"train": 1, "val": 0,
+                                                                     "test": 1}
+    scored = ["--data", data, "--checkpoint", workdir["ckpt"], "--split"]
+    for i, argv in enumerate((["train", "--data", data, *TINY_TRAIN], ["eval", *scored, "val"],
+                              ["eval", *scored, "all"], ["energy", *scored, "val"])):
+        out = tmp_path / str(i)
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert "error: split 'val' has no window" in err and "val=0" in err, err
+        assert "Traceback" not in err
+        for path in (p for p in out.rglob("*") if p.is_file()):
+            assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), (argv, path.name)
+
+
 # -- fuzzing every flag -------------------------------------------------------------------
 
 # Values that violate some flag's type or range. Each size flag takes an int, so

@@ -1,4 +1,8 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sedformer
 from conftest import random_series
 from sedformer import SuiteConfig, synth_suite
 from sedformer import model as model_mod
@@ -229,6 +234,43 @@ def test_query_heavy_run_tape_stays_lean():
         tracemalloc.stop()
     assert loss.requires_grad
     assert tape <= 4.5 * 2 ** 20
+
+
+# A child process, so that this one's heap history does not set the count.
+STEADY_EPOCH = """
+import resource
+import numpy as np
+from sedformer import ModelConfig, SedFormer, TrainConfig, align_events, evaluate, train
+from sedformer.data import WindowItem
+
+rng = np.random.default_rng(0)
+def item():
+    stamps = [np.sort(rng.uniform(0.0, 90.0, 40)) for _ in range(8)]
+    queries = [np.sort(rng.uniform(90.0, 120.0, 10)) for _ in range(8)]
+    return WindowItem(series=align_events([(t, np.sin(t / 7.0)) for t in stamps]),
+                      query_times=queries, targets=[np.sin(q / 7.0) for q in queries])
+items = [item(), item()]
+model = SedFormer(ModelConfig(n_variates=8))
+train(model, items, [], TrainConfig(epochs=1))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(model, items, [], TrainConfig(epochs=1))
+evaluate(model, items)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap top pad is glibc's")
+def test_steady_epoch_does_not_refault_its_tape():
+    """Two lone windows of K = 320 events (D = 8, an async_long-sized tape of
+    about 8 MiB): after a warm-up epoch, a second epoch plus one evaluate
+    reuse the heap's freed top (``tensor.HEAP_TOP_PAD``) instead of faulting
+    in fresh pages: 2 minor faults, where they read 1,000–3,300 without the pad."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedformer.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", STEADY_EPOCH], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert int(run.stdout.splitlines()[-1]) < 100
 
 
 @pytest.mark.filterwarnings("ignore:.*no queries")
