@@ -81,10 +81,11 @@ def linear_attention(qkv: Tensor, heads: int, real: np.ndarray | None = None) ->
         y[u]  = (phi_q[u] KV) / (phi_q[u] k_sum + ATTENTION_EPS)
     with pads left out of both sums. Output [K', B, D, dim].
 
-    Beyond its input the op keeps phi_q, phi_k, KV, k_sum and the
-    denominator; the backward is the factored gradient of Katharopoulos et
-    al. 2020 (arXiv:2006.16236, sec. 3.3), again linear in N, times the
-    squash's derivative sigmoid(x) = 1 - exp(-softplus(x)).
+    Beyond its input and output the op keeps KV, k_sum and the
+    denominator; the backward recomputes phi_q and phi_k from the input
+    and takes the factored gradient of Katharopoulos et al. 2020
+    (arXiv:2006.16236, sec. 3.3), again linear in N, times the squash's
+    derivative sigmoid(x) = 1 - exp(-softplus(x)).
     """
     shape = qkv.shape[:-1] + (qkv.shape[-1] // 3,)
     Kp, D, dim = shape[0], shape[-2], shape[-1]
@@ -98,7 +99,11 @@ def linear_attention(qkv: Tensor, heads: int, real: np.ndarray | None = None) ->
         return a.reshape(B, heads, Kp, D, dh).transpose(2, 0, 3, 1, 4)
 
     parts = qkv.data.reshape(Kp, B, D, 3, heads, dh)
-    q, k = softplus(split(parts[:, :, :, 0])), softplus(split(parts[:, :, :, 1]))
+
+    def squashed():  # phi_q, phi_k
+        return softplus(split(parts[:, :, :, 0])), softplus(split(parts[:, :, :, 1]))
+
+    q, k = squashed()
     k_real = k if mask is None else k * mask
     kv = k_real.swapaxes(-1, -2) @ split(parts[:, :, :, 2])  # [B, H, d_h, d_h]
     k_sum = k_real.sum(axis=-2)[..., None]                   # [B, H, d_h, 1]
@@ -108,6 +113,7 @@ def linear_attention(qkv: Tensor, heads: int, real: np.ndarray | None = None) ->
                3 * q.size, out.size)
 
     def bwd(g):
+        q, k = squashed()
         g_num = split(g.reshape(Kp, B, D, heads, dh)) / den                # [B, H, N, d_h]
         g_den = -(g_num * split(out.reshape(Kp, B, D, heads, dh))).sum(axis=-1, keepdims=True)
         g_q = g_num @ kv.swapaxes(-1, -2) + g_den * k_sum.swapaxes(-1, -2)
@@ -184,8 +190,40 @@ class SedAttention(Module):
         return linear(linear_attention(qkv, self.heads, real), self.w_o)
 
 
+def relu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(linear(x, w1, b1).relu(), w2, b2)`` as one op.
+
+    x: [..., n]; w1: [n, h]; w2: [h, m]. The tape keeps the hidden
+    pre-activation h = x @ w1 + b1 only; the backward recomputes relu(h)
+    for w2's gradient. Output, gradients and billed work are those of the
+    three ops it replaces, bit for bit.
+    """
+    n, m = w1.shape[0], w2.shape[1]
+    if x.shape[-1] != n:
+        raise ShapeError(f"linear map takes {n} inputs, got {x.shape}")
+    xd = x.data.reshape(-1, n)
+    h = xd @ w1.data
+    h += b1.data
+    out = np.maximum(h, 0.0) @ w2.data
+    out += b2.data
+    count_macs(h.size * n + out.size * h.shape[1], xd.size + w1.data.size + h.size + w2.data.size,
+               h.size + out.size)
+
+    def bwd(g):
+        g = g.reshape(-1, m)
+        accumulate_grad(w2, np.maximum(h, 0.0).T @ g)
+        accumulate_grad(b2, g.sum(axis=0))
+        g = g @ w2.data.T
+        g *= h > 0.0
+        accumulate_grad(x, (g @ w1.data.T).reshape(x.shape))
+        accumulate_grad(w1, xd.T @ g)
+        accumulate_grad(b1, g.sum(axis=0))
+
+    return make_op(out.reshape(x.shape[:-1] + (m,)), (x, w1, b1, w2, b2), bwd)
+
+
 class FeedForward(Module):
-    """Continuous position-wise MLP: d -> 2d -> rectifier -> d.
+    """Continuous position-wise MLP: d -> 2d -> rectifier -> d (``relu_mlp``).
 
     ``norm`` is a normalizer in front of it (``Block.bn2``), folded into
     the first layer's weight and bias (``tensor.fold``), once for all
@@ -204,9 +242,9 @@ class FeedForward(Module):
                  norm: BatchNorm | None = None) -> Tensor:
         if norm is not None and norm.accumulating:
             norm.observe(*moments(x.data, lengths))
-        h = linear(x, *fold_once(self, (self.w1, self.b1, norm), lambda: fold(
-            self.w1, self.b1, pre=None if norm is None else norm.scale_shift())))
-        return linear(h.relu(), self.w2, self.b2)
+        w1, b1 = fold_once(self, (self.w1, self.b1, norm), lambda: fold(
+            self.w1, self.b1, pre=None if norm is None else norm.scale_shift()))
+        return relu_mlp(x, w1, b1, self.w2, self.b2)
 
 
 class Block(Module):
@@ -241,6 +279,11 @@ def aggregate_observed(x: Tensor, mask: np.ndarray) -> Tensor:
     if np.any(empty):
         warnings.warn(f"{int(empty.sum())} variate(s) have no observed pooled step; "
                       "their summary is zero")
-    weights = mask / np.where(empty, 1.0, counts)  # [K', (B,) D]; empty columns are 0
-    # z[d] = sum_u weights[u, d] * x[u, d, :]
-    return (x * Tensor(weights[..., None])).sum(axis=0)
+    weights = (mask / np.where(empty, 1.0, counts))[..., None]  # empty columns are 0
+    # z[d] = sum_u weights[u, d] * x[u, d, :], one op that keeps no product
+    count_macs(x.size, x.size + weights.size, x.size)
+
+    def bwd(g):
+        accumulate_grad(x, np.broadcast_to(g, x.shape) * weights)
+
+    return make_op((x.data * weights).sum(axis=0), (x,), bwd)

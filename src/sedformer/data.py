@@ -645,6 +645,16 @@ def write_dataset(out_dir: str, splits: dict, meta: dict) -> None:
                         w.writerow([i, "query", repr(float(t)), d, repr(float(val))])
 
 
+# Largest |stamp| (days) and |value| a dataset file may hold. At 1e15 days
+# float64 still resolves 0.125 day, and a query stamp reaches the loss through
+# the time embedding's linear channel, so the decoder's gradients grow as its
+# square and Adam's second moment as its fourth power: 1 training epoch on a
+# tiny suite overflowed from a stamp of 1e90 on (1e80 trained). A value's
+# square enters the standardizer's sums and, through the loss gradient, Adam's
+# second moment: a value of 1e200 overflowed either, 1e100 trained.
+MAX_ABS_STAMP, MAX_ABS_VALUE = 1e15, 1e100
+
+
 def _parse_row(row: list[str], n_variates: int, where: str):
     """(window, role, t, variate, value) of one dataset row, or a DataError at ``where``."""
     if len(row) != 5:
@@ -656,6 +666,9 @@ def _parse_row(row: list[str], n_variates: int, where: str):
         raise DataError(f"{where}: {e}") from None
     if not 0 <= d < n_variates:
         raise DataError(f"{where}: variate {d} outside 0..{n_variates - 1}")
+    for name, x, bound in (("stamp", t, MAX_ABS_STAMP), ("value", v, MAX_ABS_VALUE)):
+        if not abs(x) <= bound:  # NaN fails too
+            raise DataError(f"{where}: {name} {x!r} outside [-{bound:g}, {bound:g}]")
     return i, row[1], t, d, v
 
 
@@ -704,7 +717,10 @@ def read_dataset(data_dir: str) -> tuple[dict, dict]:
                                     np.array(vs, dtype=np.float64)))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                series = align_events(per_variate)
+                try:
+                    series = align_events(per_variate)
+                except DataError as e:
+                    raise DataError(f"{path}: window {i}: {e}") from None
             queries, targets = [], []
             for d in range(n_variates):
                 if w["q"][d]:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .neuron import ealif_spike_scan, eta_for_tau_init
-from .tensor import (BatchNorm, Module, Tensor, depthwise_conv1d, fold_once, moments, parameter,
-                     scope)
+from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, count_macs, depthwise_conv1d,
+                     fold_once, make_op, moments, parameter, scope)
 
 
 @dataclass
@@ -136,9 +136,9 @@ def align_events(per_variate: list[tuple[np.ndarray, np.ndarray]]) -> EventSerie
         if t.size == 0:
             warnings.warn(f"variate {d} has no observations; its mask column is all zero")
         cleaned.append((t, v))
-    union = np.unique(np.concatenate([t for t, _ in cleaned if t.size]))
-    if union.size == 0:
+    if not any(t.size for t, _ in cleaned):
         raise DataError("no observations in any variate")
+    union = np.unique(np.concatenate([t for t, _ in cleaned if t.size]))
     K, D = union.size, len(cleaned)
     X = np.zeros((K, D))
     M = np.zeros((K, D))
@@ -171,6 +171,38 @@ def event_gaps(times: np.ndarray, first_gap: str = "zero") -> np.ndarray:
     else:
         raise ConfigError(f"first_gap must be 'zero' or 'median', got {first_gap!r}")
     return gaps
+
+
+def gated_current(conv: Tensor, shift: Tensor, s: Tensor, theta: Tensor,
+                  gamma: Tensor) -> Tensor:
+    """The input current ``((conv + shift) * s - theta) * gamma`` as one op.
+
+    conv: [K, ..., D, C]; shift, theta: [C]; s: the gate [K, ..., 1, 1];
+    gamma: a scalar. The tape keeps conv only; the backward recomputes the
+    two inner terms. Output, gradients and billed work are those of the
+    four ops it replaces, bit for bit.
+    """
+    def terms():  # conv + shift, and (conv + shift) * s - theta
+        x_loc = conv.data + shift.data
+        y = x_loc * s.data
+        y -= theta.data
+        return x_loc, y
+
+    out = terms()[1]
+    out *= gamma.data
+    count_macs(2 * out.size, 2 * out.size + s.size + gamma.size, 2 * out.size)
+
+    def bwd(g):
+        x_loc, y = terms()
+        accumulate_grad(gamma, g * y)
+        g = g * gamma.data
+        accumulate_grad(theta, -g)
+        accumulate_grad(s, g * x_loc)
+        g *= s.data
+        accumulate_grad(shift, g)
+        accumulate_grad(conv, g)
+
+    return make_op(out, (conv, shift, s, theta, gamma), bwd)
 
 
 class SedSeEncoder(Module):
@@ -227,12 +259,11 @@ class SedSeEncoder(Module):
                 self.bn.observe(*moments(depthwise_conv1d(observed, self.kernels.data).data,
                                          window_lengths(series.mask)))
             kernels, shift = fold_once(self, (self.kernels, self.bn), self._folded_kernels)
-            x_loc = depthwise_conv1d(observed, kernels) + shift  # the normalizer folded in
+            conv = depthwise_conv1d(observed, kernels)  # + shift: the normalizer folded in
         gaps = event_gaps(series.times, first_gap=self.first_gap)
         with scope("dynamics"):
             s = self.gate(gaps).reshape(gaps.shape + (1, 1))
-            gamma = self.gamma_hat.softplus()
-            return (x_loc * s - self.theta) * gamma, gaps
+            return gated_current(conv, shift, s, self.theta, self.gamma_hat.softplus()), gaps
 
     def encode(self, series: EventSeries | EventBatch,
                smooth: bool = False) -> tuple[Tensor, np.ndarray]:

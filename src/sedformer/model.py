@@ -23,18 +23,19 @@ from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, assert_finite, 
 
 # Rows of one padded batch: event x variate slots (K_max * B * D) plus the
 # decoder's query rows. Training runs and calibrate group windows in order up
-# to BATCH_ROWS (a tape sets training's memory); a larger window runs alone. In
-# one process on 2 CPUs, a training epoch at 4096 rows ran 1.01x (`suite`) and
-# 1.02x (`sparse_short`) as fast; calibrate by ``eval_batches`` 1.02x and 0.92x.
-BATCH_ROWS = 2048
-
-# Rows of one batch of ``evaluate``, which keeps no tape and groups windows
-# of like length (``eval_batches``). Measured in one process on 2 CPUs, two
-# runs of 20 alternating rounds against 2048 rows in item order, seed-0 test
-# splits: `sparse_short` evaluates 1.17x and 1.37x as fast and `suite` 1.29x
-# and 1.30x (4 -> 2 and 8 -> 4 batches); `async_long`, whose windows all run
-# alone, 1.00x.
-EVAL_ROWS = 4096
+# to BATCH_ROWS, and ``evaluate`` groups them by length (``eval_batches``); a
+# larger window runs alone. A training run pays 4-6 ms of fixed work whatever
+# its size (61 of a `suite` run's 142 op nodes rebuild the normalizer folds), so
+# larger runs pay: forward plus backward took 2.90 ms per `suite` window at 4
+# windows a run, 2.47 at 8 and 2.21 at 16 (one process, 2 CPUs). At 4096 rows a
+# `suite` run holds 8 windows, a `sparse_short` run a whole minibatch of 16,
+# and an `async_long` window (2,360-2,992 rows) runs alone. Together with the
+# fused ops that keep the larger tape's peak memory down, `suite` trained 1.25x
+# and `sparse_short` 1.16x as fast as at 2048 rows (benchmark medians of 10
+# process pairs; `suite` won 10 of 10). Before the heap pad
+# (``tensor.HEAP_TOP_PAD``) larger tapes faulted in fresh pages, and 4096 rows
+# gained only 1.01x.
+BATCH_ROWS = 4096
 
 # Largest token dimension, encoder width, kernel and depth. The parameters grow
 # as ~24 dim^2 (12 MiB at 256, 192 MiB at 1024 with 2 blocks), ~8 dim^2 more per
@@ -52,18 +53,16 @@ MAX_DIM, MAX_CHANNELS, MAX_KERNEL_SIZE, MAX_BLOCKS = 1024, 1024, 255, 8
 TE_SPAN = 90.0
 
 
-def batch_ranges(series: list[EventSeries], n_queries: list[int] | None = None,
-                 rows: int | None = None) -> list[range]:
+def batch_ranges(series: list[EventSeries],
+                 n_queries: list[int] | None = None) -> list[range]:
     """Consecutive index runs of ``series``, each one batch of at most
-    ``rows`` rows (default ``BATCH_ROWS``) or a single larger window;
-    window i brings ``n_queries[i]`` decoder rows (none without
-    ``n_queries``)."""
-    rows = BATCH_ROWS if rows is None else rows
+    ``BATCH_ROWS`` rows or a single larger window; window i brings
+    ``n_queries[i]`` decoder rows (none without ``n_queries``)."""
     runs, start, k_max, q = [], 0, 0, 0
     for i, s in enumerate(series):
         k = max(k_max, s.n_events)
         q_i = n_queries[i] if n_queries else 0
-        if i > start and k * (i + 1 - start) * s.n_variates + q + q_i > rows:
+        if i > start and k * (i + 1 - start) * s.n_variates + q + q_i > BATCH_ROWS:
             runs.append(range(start, i))
             start, k, q = i, s.n_events, 0
         k_max, q = k, q + q_i
@@ -76,15 +75,14 @@ def eval_batches(series: list[EventSeries], n_queries: list[int]) -> list[list[i
     """Index lists of ``series`` for a pass that keeps no tape.
 
     Windows go in order of event count (a stable sort), so batch-mates pad
-    little, and ``batch_ranges`` groups them under ``EVAL_ROWS``. A window
+    little, and ``batch_ranges`` groups them under ``BATCH_ROWS``. A window
     of at least ``neuron.EVENT_PATH_MIN_K`` events runs alone, because the
     event-driven spike path covers only lone windows.
     """
     order = sorted(range(len(series)), key=lambda i: series[i].n_events)
     n_short = sum(series[i].n_events < neuron.EVENT_PATH_MIN_K for i in order)
     short = order[:n_short]
-    runs = batch_ranges([series[i] for i in short], [n_queries[i] for i in short],
-                        rows=EVAL_ROWS)
+    runs = batch_ranges([series[i] for i in short], [n_queries[i] for i in short])
     return [short[run.start:run.stop] for run in runs] + [[i] for i in order[n_short:]]
 
 
@@ -157,7 +155,8 @@ def query_mlp(a: Tensor, e: Tensor, rows: np.ndarray, cols: np.ndarray,
     The tape keeps only h1 and h2. The backward takes every parameter
     gradient from ``h2^T g`` and ``h1^T g2`` (g2: the gradient at h2's
     pre-activation), and the gradients of ``a`` and ``e`` as sums over each
-    one's query rows (``_segment_sum``).
+    one's query rows (``_segment_sum``). It writes ``g2 @ w2^T`` over h2,
+    which it reads no more, so its peak holds one [Q, m] temporary fewer.
     """
     h1 = a.data[rows]
     h1 += e.data[cols]
@@ -176,7 +175,7 @@ def query_mlp(a: Tensor, e: Tensor, rows: np.ndarray, cols: np.ndarray,
         g *= h2 > 0.0  # h > 0 exactly where its pre-activation is
         accumulate_grad(w2, h1.T @ g)
         accumulate_grad(b2, g.sum(axis=0))
-        g = g @ w2.data.T
+        g = np.matmul(g, w2.data.T, out=h2)
         g *= h1 > 0.0
         accumulate_grad(a, _segment_sum(g, rows, a.shape[0]))
         accumulate_grad(e, _segment_sum(g, cols, e.shape[0]))

@@ -29,10 +29,12 @@ from .errors import ConfigError, NumericsError, ShapeError
 
 # Freed heap top that glibc keeps mapped, so each forward reuses the pages the
 # last backward freed instead of faulting in fresh ones (about 2,100 minor
-# faults per async_long window by default; its lone-window tape is ~8.4 MiB, and
-# a 16 MiB pad was already fault-free on all three benchmark workloads). The pad
-# stops glibc raising its mmap threshold as big arrays are freed, so that is set
-# to the same 32 MiB, its ceiling. Allocation changes no arithmetic.
+# faults per async_long window by default). The largest tape is a `suite` run of
+# 8 windows at 4096 rows (7.2 MiB, 7.8 MiB at its backward's peak; a steady
+# `suite` epoch makes 3-26 faults), and a 16 MiB pad was already fault-free on
+# all three benchmark workloads. The pad stops glibc raising its mmap threshold
+# as big arrays are freed, so that is set to the same 32 MiB, its ceiling.
+# Allocation changes no arithmetic.
 HEAP_TOP_PAD = 32 << 20
 if platform.libc_ver()[0] == "glibc":
     _LIBC = ctypes.CDLL(None)

@@ -185,7 +185,7 @@ def evaluate(model: SedFormer, items: list[WindowItem], scaler=None) -> dict:
     """Pooled metrics in inference mode (hard spikes, no tape).
 
     Windows run in batches of like length (``eval_batches``): in order of
-    event count, under ``EVAL_ROWS`` rows, and alone from
+    event count, under ``BATCH_ROWS`` rows, and alone from
     ``neuron.EVENT_PATH_MIN_K`` events on. Each prediction equals that of
     a ``predict`` call on its window alone (to 1e-12), and the errors pool
     in item order, whatever order the batches ran in.

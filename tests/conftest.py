@@ -11,7 +11,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from sedformer.encoder import EventSeries  # noqa: E402
-from sedformer.tensor import Tensor  # noqa: E402
+from sedformer.tensor import Tensor, mac_counter  # noqa: E402
 
 
 def numeric_grad(fn, leaves, step=1e-5):
@@ -62,6 +62,26 @@ def gradcheck(build, leaves, rel_tol=1e-4, step=1e-5, atol=1e-7):
                 f"gradient mismatch at {i}: analytic={a[i]!r} numeric={n[i]!r}")
         worst = max(worst, float(gap.max()))
     return worst
+
+
+def assert_same_op(fused, composed, leaves):
+    """A fused op and the ops it replaces: ``fused()`` and ``composed()`` each
+    build one output from ``leaves``, and both must give bitwise the same
+    output and leaf gradients (under one fixed random cotangent) and bill
+    the same MACs, reads and writes."""
+    got = []
+    for build in (fused, composed):
+        for leaf in leaves:
+            leaf.grad = None
+        with mac_counter() as counter:
+            out = build()
+        (out * Tensor(np.random.default_rng(1).normal(size=out.shape))).sum().backward()
+        got.append((out.data, [leaf.grad for leaf in leaves], counter.ops))
+    (out_f, grads_f, ops_f), (out_c, grads_c, ops_c) = got
+    assert out_f.tobytes() == out_c.tobytes()
+    for i, (a, b) in enumerate(zip(grads_f, grads_c)):
+        assert a.tobytes() == b.tobytes(), f"gradient of leaf {i}"
+    assert ops_f == ops_c
 
 
 def random_series(rng, n_events=None, n_variates=3, span=90.0) -> EventSeries:

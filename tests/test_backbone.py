@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import gradcheck
+from conftest import assert_same_op, gradcheck
 from oracles import composed_attention
-from sedformer.backbone import (Block, SedAttention, TimeEmbedding,
-                                aggregate_observed, embed_tokens, linear_attention)
+from sedformer.backbone import (Block, SedAttention, TimeEmbedding, aggregate_observed,
+                                embed_tokens, linear_attention, relu_mlp)
 from sedformer.errors import ConfigError, ShapeError
-from sedformer.tensor import BatchNorm, Tensor, mac_counter, no_grad, parameter
+from sedformer.tensor import BatchNorm, Tensor, linear, mac_counter, no_grad, parameter
 
 
 def quadratic_attention(attn: SedAttention, x: np.ndarray,
@@ -255,3 +255,29 @@ def test_block_preserves_shape_and_mixes(rng):
     out = blk(x, gaps)
     assert out.shape == (5, 2, 8)
     assert not np.allclose(out.data, x.data)
+
+
+def test_relu_mlp_matches_composed_ops_bitwise(rng):
+    """The feed-forward op gives the output, gradients and billed work of
+    linear -> rectifier -> linear, bit for bit, on a padded batch."""
+    x = parameter(rng.normal(size=(5, 3, 2, 4)))  # [K', B, D, d]
+    x.data[3:, 1] = x.data[2, 1]  # window 1's pads
+    w1, b1 = parameter(rng.normal(size=(4, 8))), parameter(rng.normal(size=8))
+    w2, b2 = parameter(rng.normal(size=(8, 4))), parameter(rng.normal(size=4))
+    assert_same_op(lambda: relu_mlp(x, w1, b1, w2, b2),
+                   lambda: linear(linear(x, w1, b1).relu(), w2, b2), [x, w1, b1, w2, b2])
+
+
+@pytest.mark.filterwarnings("ignore:.*no observed pooled step")
+def test_aggregate_observed_matches_composed_ops_bitwise(rng):
+    """The pooling head is one op with the output, gradient and billed work
+    of the masked product and sum it replaces, on a padded batch with an
+    empty variate."""
+    x = parameter(rng.normal(size=(5, 3, 2, 4)))  # [K', B, D, d]
+    mask = (rng.uniform(size=(5, 3, 2)) < 0.6).astype(np.float64)
+    mask[3:, 1] = 0.0  # window 1's pads
+    mask[:, 2, 0] = 0.0  # window 2's variate 0 is never observed
+    counts = mask.sum(axis=0)
+    weights = mask / np.where(counts == 0, 1.0, counts)
+    assert_same_op(lambda: aggregate_observed(x, mask),
+                   lambda: (x * Tensor(weights[..., None])).sum(axis=0), [x])

@@ -9,7 +9,7 @@ from conftest import random_series
 from sedformer import neuron
 from sedformer.encoder import EventBatch, EventSeries, event_gaps
 from sedformer.errors import NumericsError
-from sedformer.model import BATCH_ROWS, EVAL_ROWS, ModelConfig, SedFormer, batch_ranges
+from sedformer.model import BATCH_ROWS, ModelConfig, SedFormer, batch_ranges
 from sedformer.neuron import ealif_filter, ealif_spike_scan, eta_for_tau
 from sedformer.tensor import Tensor, no_grad, parameter
 from sedformer.training import WindowItem, evaluate
@@ -141,7 +141,7 @@ def test_evaluate_equals_per_window_predict(rng):
 @pytest.mark.filterwarnings(EMPTY_VARIATE)
 def test_evaluate_batches_by_length_under_the_budget(rng, monkeypatch):
     """``evaluate`` runs its windows in the stable order of their event
-    counts, each batch within ``EVAL_ROWS`` rows or a single window, and
+    counts, each batch within ``BATCH_ROWS`` rows or a single window, and
     every window of at least ``EVENT_PATH_MIN_K`` events alone."""
     lengths = [int(k) for k in rng.integers(1, 120, size=60)]
     lengths += [300, neuron.EVENT_PATH_MIN_K, neuron.EVENT_PATH_MIN_K - 1, 1]
@@ -163,7 +163,7 @@ def test_evaluate_batches_by_length_under_the_budget(rng, monkeypatch):
     for batch in batches:
         rows = max(lengths[i] for i in batch) * len(batch) * 3
         rows += sum(items[i].n_queries for i in batch)
-        assert len(batch) == 1 or rows <= EVAL_ROWS
+        assert len(batch) == 1 or rows <= BATCH_ROWS
         if max(lengths[i] for i in batch) >= neuron.EVENT_PATH_MIN_K:
             assert len(batch) == 1
 

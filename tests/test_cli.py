@@ -211,6 +211,47 @@ def _eval_edited_test_split(tmp_path, workdir, edit) -> int:
                  "--split", "test", "--out-dir", str(tmp_path / "out")])
 
 
+def _train_edited_train_split(tmp_path, workdir, edit) -> int:
+    """``sedformer train`` on a copy of the dataset whose train.csv rows went through ``edit``."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("meta.json", "train.csv"):
+        (data / name).write_text(Path(workdir["data"], name).read_text())
+    with open(data / "train.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    edit(rows)
+    with open(data / "train.csv", "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    return main(["train", "--data", str(data), *TINY_TRAIN, "--out-dir", str(tmp_path / "out")])
+
+
+def test_window_without_observations_exits_2(tmp_path, workdir, capsys):
+    """A window with query rows but no ``obs`` row is a DataError naming the
+    file and the window, not an exit 1 from an empty concatenation."""
+    def edit(rows):
+        rows[1:] = [r for r in rows[1:] if not (r[0] == "0" and r[1] == "obs")]
+
+    assert _train_edited_train_split(tmp_path, workdir, edit) == 2
+    err = capsys.readouterr().err
+    assert "train.csv: window 0: no observations" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("role, col, what", [("query", 2, "stamp"), ("obs", 4, "value")])
+def test_out_of_range_cell_exits_2_naming_its_line(tmp_path, workdir, capsys, role, col, what):
+    """A stamp or value of 1e300 is named at its file and line; it once ran
+    into training and ended in "training diverged: lower lr"."""
+    line = {}
+
+    def edit(rows):
+        i = next(i for i, r in enumerate(rows) if r[1] == role)
+        rows[i][col], line["n"] = "1e300", i + 1
+
+    assert _train_edited_train_split(tmp_path, workdir, edit) == 2
+    err = capsys.readouterr().err
+    assert f"train.csv:{line['n']}: {what} 1e+300 outside" in err
+    assert "lr" not in err and "Traceback" not in err
+
+
 def test_non_finite_query_stamp_exits_2(tmp_path, workdir):
     def edit(rows):
         first_query = next(i for i, r in enumerate(rows) if r[1] == "query")

@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import gradcheck, random_series
-from sedformer.encoder import EventSeries, SedSeEncoder, align_events, event_gaps
+from conftest import assert_same_op, gradcheck, random_series
+from sedformer.encoder import (EventSeries, SedSeEncoder, align_events, event_gaps,
+                               gated_current)
 from sedformer.errors import ConfigError, DataError
-from sedformer.tensor import Tensor
+from sedformer.tensor import Tensor, parameter
 
 
 def test_align_events_union():
@@ -34,6 +35,13 @@ def test_align_events_warns_on_empty_variate():
         ])
     assert any("no observations" in str(x.message) for x in w)
     assert series.mask[:, 1].sum() == 0
+
+
+@pytest.mark.filterwarnings("ignore:variate .* has no observations")
+def test_align_events_without_observations_raises_data_error():
+    for n_variates in (1, 2):
+        with pytest.raises(DataError, match="no observations in any variate"):
+            align_events([(np.array([]), np.array([]))] * n_variates)
 
 
 def test_event_series_validation():
@@ -125,3 +133,15 @@ def test_encoder_gradients_smooth(rng):
 def test_encoder_kernel_size_validation():
     with pytest.raises(ConfigError):
         SedSeEncoder(n_variates=1, kernel_size=4)
+
+
+def test_gated_current_matches_composed_ops_bitwise(rng):
+    """The encoder's current op gives the output, gradients and billed work
+    of ((conv + shift) * s - theta) * gamma, bit for bit, on a padded batch."""
+    conv = parameter(rng.normal(size=(6, 3, 2, 4)))  # [K, B, D, C]
+    conv.data[4:, 1] = 0.0  # window 1's pads: no observation, so no convolution
+    shift, theta = parameter(rng.normal(size=4)), parameter(rng.normal(size=4))
+    s = parameter(rng.uniform(size=(6, 3, 1, 1)))
+    gamma = parameter(1.3)
+    assert_same_op(lambda: gated_current(conv, shift, s, theta, gamma),
+                   lambda: ((conv + shift) * s - theta) * gamma, [conv, shift, s, theta, gamma])

@@ -236,6 +236,34 @@ def test_query_heavy_run_tape_stays_lean():
     assert tape <= 4.5 * 2 ** 20
 
 
+def test_suite_training_run_peak_stays_within_budget():
+    """One training run of 8 suite windows (K about 84, D = 4; ``BATCH_ROWS``
+    holds them in one run): forward plus backward peak at most 8 MiB under
+    tracemalloc. It read 7.77 MiB, and 10.15 MiB with the composed
+    feed-forward, encoder current and pooling head, the attention core
+    keeping its squashed q and k, and the decoder's backward its extra
+    [Q, 2d] temporary."""
+    items = synth_suite(SuiteConfig(n_days=600, seed=0))["train"][:8]
+    series, queries = [item.series for item in items], [item.query_times for item in items]
+    targets = [item.targets for item in items]
+    assert model_mod.batch_ranges(series, [item.n_queries for item in items]) == [range(8)]
+    model = SedFormer(ModelConfig(n_variates=4))
+    model.calibrate(series)
+
+    def run():
+        variate_balanced_mse(model.forward(series, queries), targets).backward()
+
+    run()  # the first run's allocations that later runs reuse
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
 # A child process, so that this one's heap history does not set the count.
 STEADY_EPOCH = """
 import resource
