@@ -729,6 +729,8 @@ def read_dataset(data_dir: str) -> tuple[dict, dict]:
                     qs, ys = (), ()
                 queries.append(np.array(qs, dtype=np.float64))
                 targets.append(np.array(ys, dtype=np.float64))
+            if not any(q.size for q in queries):  # nothing to forecast, and no loss to train on
+                raise DataError(f"{path}: window {i}: no query row")
             items.append(WindowItem(series=series, query_times=queries, targets=targets))
         splits[split] = items
     return splits, meta

@@ -18,6 +18,7 @@ from .downsample import pool_events
 from .encoder import EventBatch, EventSeries, SedSeEncoder, event_gaps, window_lengths
 from .errors import ConfigError, DataError
 from .neuron import TAU_MAX
+from .parallel import share
 from .tensor import (BatchNorm, Module, Tensor, accumulate_grad, assert_finite, count_macs,
                      fold_once, linear, make_op, no_grad, parameter, scope, stats_written)
 
@@ -238,7 +239,7 @@ class SedFormer(Module):
     def batch_norms(self) -> list[BatchNorm]:
         return [m for m in self.modules() if isinstance(m, BatchNorm)]
 
-    def calibrate(self, series_list) -> None:
+    def calibrate(self, series_list, worker=None) -> None:
         """Refresh normalization statistics with exact pooled moments.
 
         One no-tape pass in batches (``batch_ranges``) through the folded
@@ -247,16 +248,31 @@ class SedFormer(Module):
         moments (those of one forward per series, up to rounding) at the end.
         This is the only way statistics change outside ``load_state``, so
         training and inference scale features identically.
+
+        ``worker`` is ``train``'s (``parallel.Worker``), whose training
+        windows are ``series_list``. The worker process then runs the second
+        half of the batches and sends back what each normalizer observed,
+        which is pooled after this process's half, in batch order: bitwise
+        the statistics of a call without it.
         """
         series_list = list(series_list)
         norms = self.batch_norms()
         for bn in norms:
             bn.start_accumulation()
-        with no_grad():
-            for run in batch_ranges(series_list):
-                self.summarize(series_list[run.start:run.stop])
+        _, observed = share(worker, "calibrate", SedFormer.summarize_runs, self, series_list,
+                            batch_ranges(series_list))
+        for bn, seen in zip(norms, observed or ()):  # None: the second half ran here
+            for n, mean, diagonal in seen:
+                bn.observe(n, mean, np.diag(diagonal))
         for bn in norms:
             bn.stop_accumulation()
+
+    def summarize_runs(self, series_list: list[EventSeries], runs: list) -> None:
+        """``summarize`` each run (indices of ``series_list``) without a tape:
+        ``calibrate``'s pass, for what the normalizers observe."""
+        with no_grad():
+            for run in runs:
+                self.summarize([series_list[i] for i in run])
 
     # -- forward --------------------------------------------------------------
 

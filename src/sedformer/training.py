@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .encoder import EventSeries
 from .errors import ConfigError, DataError, NumericsError
 from .backbone import ATTENTION_EPS
@@ -181,7 +182,7 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def evaluate(model: SedFormer, items: list[WindowItem], scaler=None) -> dict:
+def evaluate(model: SedFormer, items: list[WindowItem], scaler=None, worker=None) -> dict:
     """Pooled metrics in inference mode (hard spikes, no tape).
 
     Windows run in batches of like length (``eval_batches``): in order of
@@ -192,21 +193,61 @@ def evaluate(model: SedFormer, items: list[WindowItem], scaler=None) -> dict:
 
     With a ``scaler`` (a ``data.Standardizer``) the items are raw: each window
     is scaled on the way in and its predictions unscaled on the way out.
+    ``worker`` is ``train``'s (``parallel.Worker``), whose validation windows
+    are ``items``; the worker process then runs the second half of the
+    batches, and the metrics are bitwise those of a call without it.
     """
-    inputs = items if scaler is None else [scaler.transform_item(item) for item in items]
     errs = [None] * len(items)
-    with no_grad():
-        for run in eval_batches([item.series for item in inputs],
-                                [item.n_queries for item in inputs]):
-            preds = model.forward([inputs[i].series for i in run],
-                                  [inputs[i].query_times for i in run])
-            for i, p in zip(run, preds):
-                if scaler is not None:
-                    p = scaler.inverse([None if t is None else t.data for t in p])
-                errs[i] = flat_errors(p, items[i].targets)
+    batches = eval_batches([item.series for item in items], [item.n_queries for item in items])
+    for half in parallel.share(worker, "evaluate", window_errors, model, items, batches, scaler):
+        for i, e in half or ():
+            errs[i] = e
     e = np.concatenate(errs) if errs else np.zeros(0)
     assert_finite(e, "prediction errors")
     return flat_metrics(e)
+
+
+def window_errors(model: SedFormer, items: list[WindowItem], batches: list,
+                  scaler=None) -> list[tuple[int, np.ndarray]]:
+    """(index, ``flat_errors``) of each window of ``batches`` (index lists of
+    ``items``), batch by batch, with no tape; ``scaler`` as in ``evaluate``."""
+    out = []
+    with no_grad():
+        for batch in batches:
+            inputs = [items[i] if scaler is None else scaler.transform_item(items[i])
+                      for i in batch]
+            preds = model.forward([item.series for item in inputs],
+                                  [item.query_times for item in inputs])
+            for i, p in zip(batch, preds):
+                if scaler is not None:
+                    p = scaler.inverse([None if t is None else t.data for t in p])
+                out.append((i, flat_errors(p, items[i].targets)))
+    return out
+
+
+def window_gradients(model: SedFormer, items: list[WindowItem], runs: list,
+                     scale: float) -> tuple[float, dict]:
+    """One forward, loss (``variate_balanced_mse`` times ``scale``) and
+    backward per run (index lists of ``items``), in order. Returns the sum
+    of the losses and each parameter's gradient sum (None where no run
+    reached it), both in run order, and leaves every ``.grad`` cleared.
+    Each backward frees its run's tape before the next run starts."""
+    params = model.parameters()
+    for p in params.values():
+        p.grad = None
+    total = 0.0
+    for run in runs:
+        windows = [items[i] for i in run]
+        preds = model.forward([item.series for item in windows],
+                              [item.query_times for item in windows])
+        loss = variate_balanced_mse(preds, [item.targets for item in windows]) * scale
+        assert_finite(loss, "training loss")
+        loss.backward()
+        total += loss.item()
+    grads = {k: p.grad for k, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    return total, grads
 
 
 def train(model: SedFormer, train_items: list[WindowItem],
@@ -218,6 +259,15 @@ def train(model: SedFormer, train_items: list[WindowItem],
     padded rows (``batch_ranges``). Each run is one batched forward, one
     loss (the run's ``variate_balanced_mse`` over ``len(minibatch)``) and
     one backward, which frees that run's tape before the next run starts.
+    The minibatch's loss and gradient are (the sum over its first
+    ceil(n/2) runs) + (the sum over the rest), each half summed in run
+    order (``window_gradients``).
+
+    Where this process may use two CPUs (``parallel.ENABLED``), a worker
+    process runs the second half of the runs of each pass: the epoch's
+    ``calibrate``, each minibatch's gradient runs and the validation
+    ``evaluate`` (see ``parallel``). Every result is bitwise that of a run
+    without it.
 
     Returns {"history": [...], "best_epoch": int, "best_val_mse": float};
     the model is left holding the best parameters.
@@ -229,6 +279,7 @@ def train(model: SedFormer, train_items: list[WindowItem],
     history = []
     best = {"epoch": -1, "val_mse": float("inf"), "params": None, "buffers": None}
     train_series = [item.series for item in train_items]
+    worker = parallel.Worker(model, train_items, val_items) if parallel.ENABLED else None
     try:
         # an overflow, a division by zero or an invalid value is divergence too;
         # raising it stops the run at its first op instead of printing warnings
@@ -240,28 +291,25 @@ def train(model: SedFormer, train_items: list[WindowItem],
                 # frozen stats: per-forward batch stats would tie each window's
                 # scaling to its batch-mates (or normalize away a lone window's
                 # level) and break inference
-                model.calibrate(train_series)
+                model.calibrate(train_series, worker=worker)
                 epoch_losses = []
                 for start in range(0, len(order), cfg.batch_size):
-                    batch = [train_items[i] for i in order[start:start + cfg.batch_size]]
-                    opt.zero_grad()
-                    batch_loss = 0.0
-                    # the runs' gradients add up in .grad; only one run's tape is
-                    # alive at a time, since each backward frees its own
-                    for run in batch_ranges([item.series for item in batch],
-                                            [item.n_queries for item in batch]):
-                        windows = batch[run.start:run.stop]
-                        preds = model.forward([item.series for item in windows],
-                                              [item.query_times for item in windows])
-                        loss = variate_balanced_mse(preds, [item.targets for item in windows])
-                        loss = loss * (1.0 / len(batch))
-                        assert_finite(loss, "training loss")
-                        loss.backward()
-                        batch_loss += loss.item()
+                    picked = order[start:start + cfg.batch_size]
+                    batch = [train_items[i] for i in picked]
+                    runs = [picked[run.start:run.stop]
+                            for run in batch_ranges([item.series for item in batch],
+                                                    [item.n_queries for item in batch])]
+                    (loss_a, grads_a), second = parallel.share(
+                        worker, "gradients", window_gradients, model, train_items, runs,
+                        1.0 / len(batch))
+                    loss_b, grads_b = second or (0.0, {})  # a lone run has no second half
+                    for k, p in params.items():
+                        a, b = grads_a[k], grads_b.get(k)
+                        p.grad = b if a is None else a if b is None else np.add(a, b, out=a)
                     opt.step()
-                    epoch_losses.append(batch_loss)
-                val = evaluate(model, val_items) if val_items else {"mse": float("nan"),
-                                                                    "mae": float("nan")}
+                    epoch_losses.append(loss_a + loss_b)
+                val = (evaluate(model, val_items, worker=worker) if val_items
+                       else {"mse": float("nan"), "mae": float("nan")})
                 train_loss = float(np.mean(epoch_losses))
                 if not np.isfinite(train_loss):
                     raise NumericsError("training loss diverged")

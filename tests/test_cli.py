@@ -9,6 +9,7 @@ import json
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sedformer
@@ -234,6 +235,22 @@ def test_window_without_observations_exits_2(tmp_path, workdir, capsys):
     assert _train_edited_train_split(tmp_path, workdir, edit) == 2
     err = capsys.readouterr().err
     assert "train.csv: window 0: no observations" in err and "Traceback" not in err
+
+
+def test_window_without_queries_exits_2(tmp_path, workdir, capsys):
+    """A window with no ``query`` row is a DataError naming the file and the
+    window, raised before the first epoch; it once warned "variate d has no
+    queries" for every variate and then ended in "loss needs at least one
+    query"."""
+    def edit(rows):
+        rows[1:] = [r for r in rows[1:] if not (r[0] == "0" and r[1] == "query")]
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _train_edited_train_split(tmp_path, workdir, edit) == 2
+    err = capsys.readouterr().err
+    assert "train.csv: window 0: no query row" in err and "Traceback" not in err
+    assert not [w for w in caught if "no queries" in str(w.message)]
 
 
 @pytest.mark.parametrize("role, col, what", [("query", 2, "stamp"), ("obs", 4, "value")])
@@ -656,3 +673,83 @@ def test_fuzz_every_flag_exits_0_or_2(workdir, invocation):
         for path in (p for p in Path(out).rglob("*") if p.is_file()):
             assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), \
                 (argv, path.name)
+
+
+# -- fuzzing dataset files ---------------------------------------------------------------
+
+CELL_VALUES = ["abc", "", "0", "-1", "nan", "inf", "-inf", "1e300", "1e308", "-1e6"]
+EDITS = ["cell", "drop-row", "duplicate-row", "no-obs", "no-query", "n_variates"]
+
+
+@st.composite
+def dataset_edits(draw):
+    """One edit of a prepared dataset: a split file's cell set to a hostile
+    value; a row dropped or duplicated; every ``obs`` or every ``query`` row
+    of one window dropped; or ``meta.json``'s ``n_variates`` changed. Rows
+    and windows are picked modulo their count."""
+    kind = draw(st.sampled_from(EDITS))
+    if kind == "n_variates":
+        return kind, "meta.json", draw(st.sampled_from([0, 1, 3, 5, -1, "abc"]))
+    name = draw(st.sampled_from(["train.csv", "val.csv", "test.csv"]))
+    pick = draw(st.integers(0, 10 ** 6))
+    if kind == "cell":
+        return kind, name, (pick, draw(st.integers(0, 4)), draw(st.sampled_from(CELL_VALUES)))
+    return kind, name, pick
+
+
+def _edit_dataset(data: Path, edit) -> None:
+    kind, name, arg = edit
+    path = data / name
+    if kind == "n_variates":
+        meta = json.loads(path.read_text())
+        meta["n_variates"] = arg
+        path.write_text(json.dumps(meta))
+        return
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    if kind == "cell":
+        pick, col, value = arg
+        rows[pick % len(rows)][col] = value
+    elif kind == "drop-row":
+        del rows[arg % len(rows)]
+    elif kind == "duplicate-row":
+        rows.insert(arg % len(rows), list(rows[arg % len(rows)]))
+    else:
+        role = "obs" if kind == "no-obs" else "query"
+        ids = sorted({r[0] for r in rows})
+        rows = [r for r in rows if not (r[0] == ids[arg % len(ids)] and r[1] == role)]
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edit=dataset_edits())
+@example(edit=("no-query", "train.csv", 0))  # once: four warnings, then "loss needs a query"
+def test_fuzz_dataset_files_exit_0_or_2(workdir, edit):
+    """A prepared dataset with one edited file goes through ``train`` (1
+    epoch), ``eval --split all`` and ``energy`` (with this run's checkpoint,
+    or the shared one when training exits 2). Each command ends in exit 0
+    with finite numbers in every file written, or in exit 2 with an error;
+    never in a traceback or a numpy warning."""
+    with tempfile.TemporaryDirectory(dir=workdir["root"]) as tmp:
+        data, runs = Path(tmp) / "data", Path(tmp) / "runs"
+        shutil.copytree(workdir["data"], data)
+        _edit_dataset(data, edit)
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            codes = [main(["train", "--data", str(data), *TINY_TRAIN,
+                           "--out-dir", str(runs / "train")])]
+            ckpt = runs / "train" / "checkpoint.json" if codes[0] == 0 else workdir["ckpt"]
+            for command in (["eval", "--split", "all"], ["energy"]):
+                codes.append(main([command[0], "--data", str(data), "--checkpoint", str(ckpt),
+                                   *command[1:], "--out-dir", str(runs / command[0])]))
+        assert set(codes) <= {0, 2}, (edit, codes, err.getvalue())
+        assert err.getvalue().count("error:") == codes.count(2), (edit, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], edit
+        for path in (p for p in runs.rglob("*") if p.is_file()):
+            assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), \
+                (edit, path.name)
