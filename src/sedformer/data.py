@@ -63,13 +63,23 @@ class CleanConfig:
 # -- ingestion ---------------------------------------------------------------------
 
 
+# Largest |stamp| (days) and |value| a dataset (or corpus) file may hold. At
+# 1e15 days float64 still resolves 0.125 day, and a query stamp reaches the loss
+# through the time embedding's linear channel, so the decoder's gradients grow
+# as its square and Adam's second moment as its fourth power: 1 training epoch
+# on a tiny suite overflowed from a stamp of 1e90 on (1e80 trained). A value's
+# square enters the standardizer's sums and, through the loss gradient, Adam's
+# second moment: a value of 1e200 overflowed either, 1e100 trained.
+MAX_ABS_STAMP, MAX_ABS_VALUE = 1e15, 1e100
+
+
 def load_csv(path: str, n_variates: int | None = None) -> tuple[list[str], np.ndarray]:
     """Wide daily CSV: one row per variate, one column per day.
 
     The header row labels the day columns; an optional leading id column is
-    detected by a non-numeric header cell. Empty cells are gaps (NaN).
-    Returns (ids, values [N, T]). ``n_variates`` keeps the first N rows in
-    file order.
+    detected by a non-numeric header cell. Empty cells are gaps (NaN); a
+    value beyond ``MAX_ABS_VALUE`` is an error. Returns (ids, values [N, T]).
+    ``n_variates`` keeps the first N rows in file order.
     """
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
@@ -106,6 +116,9 @@ def load_csv(path: str, n_variates: int | None = None) -> tuple[list[str], np.nd
                 raise DataError(
                     f"{path}: malformed numeric cell at row {r}, column {c + first_col + 1}: "
                     f"{cell!r}") from None
+            if abs(vals[c]) > MAX_ABS_VALUE:
+                raise DataError(f"{path}: cell at row {r}, column {c + first_col + 1}: {cell!r} "
+                                f"outside [-{MAX_ABS_VALUE:g}, {MAX_ABS_VALUE:g}]")
         series.append(vals)
     values = np.stack(series)
     if n_variates is not None:
@@ -643,16 +656,6 @@ def write_dataset(out_dir: str, splits: dict, meta: dict) -> None:
                 for d, (q, y) in enumerate(zip(item.query_times, item.targets)):
                     for t, val in zip(np.asarray(q), np.asarray(y)):
                         w.writerow([i, "query", repr(float(t)), d, repr(float(val))])
-
-
-# Largest |stamp| (days) and |value| a dataset file may hold. At 1e15 days
-# float64 still resolves 0.125 day, and a query stamp reaches the loss through
-# the time embedding's linear channel, so the decoder's gradients grow as its
-# square and Adam's second moment as its fourth power: 1 training epoch on a
-# tiny suite overflowed from a stamp of 1e90 on (1e80 trained). A value's
-# square enters the standardizer's sums and, through the loss gradient, Adam's
-# second moment: a value of 1e200 overflowed either, 1e100 trained.
-MAX_ABS_STAMP, MAX_ABS_VALUE = 1e15, 1e100
 
 
 def _parse_row(row: list[str], n_variates: int, where: str):

@@ -239,40 +239,40 @@ class SedFormer(Module):
     def batch_norms(self) -> list[BatchNorm]:
         return [m for m in self.modules() if isinstance(m, BatchNorm)]
 
-    def calibrate(self, series_list, worker=None) -> None:
+    def calibrate(self, series_list, worker: bool = False) -> None:
         """Refresh normalization statistics with exact pooled moments.
 
         One no-tape pass in batches (``batch_ranges``) through the folded
-        forward, under the current statistics; each normalizer observes its
-        input's moments over a batch's real rows and commits the pooled
-        moments (those of one forward per series, up to rounding) at the end.
-        This is the only way statistics change outside ``load_state``, so
-        training and inference scale features identically.
+        forward, under the current statistics (``observe_runs``); each
+        normalizer observes its input's moments over a batch's real rows and
+        commits the pooled moments (those of one forward per series, up to
+        rounding) at the end. This is the only way statistics change outside
+        ``load_state``, so training and inference scale features identically.
 
-        ``worker`` is ``train``'s (``parallel.Worker``), whose training
-        windows are ``series_list``. The worker process then runs the second
-        half of the batches and sends back what each normalizer observed,
-        which is pooled after this process's half, in batch order: bitwise
-        the statistics of a call without it.
+        With ``worker`` the worker process observes the second half of the
+        batches (``parallel.share``), and what it observed is pooled after
+        this process's half: bitwise the statistics of one process.
         """
         series_list = list(series_list)
+        halves = share(worker, SedFormer.observe_runs, self, series_list,
+                       batch_ranges(series_list))
+        for bn, *seen in zip(self.batch_norms(), *(half for half in halves if half is not None)):
+            bn.commit([o for observed in seen for o in observed])  # mine, then theirs
+
+    def observe_runs(self, series_list: list[EventSeries], runs: list) -> list[list]:
+        """``calibrate``'s pass: ``summarize`` each run (indices of
+        ``series_list``) without a tape. Returns what each normalizer observed,
+        in run order (``BatchNorm.take_observations``); no statistic changes."""
         norms = self.batch_norms()
         for bn in norms:
             bn.start_accumulation()
-        _, observed = share(worker, "calibrate", SedFormer.summarize_runs, self, series_list,
-                            batch_ranges(series_list))
-        for bn, seen in zip(norms, observed or ()):  # None: the second half ran here
-            for n, mean, diagonal in seen:
-                bn.observe(n, mean, np.diag(diagonal))
-        for bn in norms:
-            bn.stop_accumulation()
-
-    def summarize_runs(self, series_list: list[EventSeries], runs: list) -> None:
-        """``summarize`` each run (indices of ``series_list``) without a tape:
-        ``calibrate``'s pass, for what the normalizers observe."""
-        with no_grad():
-            for run in runs:
-                self.summarize([series_list[i] for i in run])
+        try:
+            with no_grad():
+                for run in runs:
+                    self.summarize([series_list[i] for i in run])
+        finally:  # a failed pass leaves no normalizer accumulating
+            observed = [bn.take_observations() for bn in norms]
+        return observed
 
     # -- forward --------------------------------------------------------------
 

@@ -1,18 +1,24 @@
 """A second process that takes half of each of ``train``'s passes.
 
-``train`` splits the runs of each pass (the per-epoch ``calibrate``, each
-minibatch's gradient runs, the validation pass) into two contiguous
-halves: this process runs the first ceil(n/2) runs, a worker process the
-rest. There is one worker per interpreter. The first pass with at least
-two runs starts it as a fresh interpreter: a fork's copy-on-write pages
-would fault in the parent's tape again. Until it has imported the package
-(about 0.15 s), passes run here whole. It talks over its stdin and stdout
-in pickles, and holds a replica of the model built from ``model.config``.
-Each pass sends it the normalizer statistics and the numpy error state,
-the parameters if they changed since its last pass, and the training or
-validation windows if they are not the ones it holds. It prints nothing,
-and exits when its input pipe closes: at interpreter exit (``atexit``), or
-when this process dies.
+``share(worker, fn, model, items, runs, *args)`` splits ``runs`` into two
+contiguous halves: this process runs ``fn`` on the first ceil(n/2) runs, a
+worker process on the rest. ``train`` shares its three passes this way: the
+per-epoch ``calibrate`` (``SedFormer.observe_runs``), each minibatch's
+gradient runs (``window_gradients``) and the validation pass
+(``window_errors``).
+
+There is one worker per interpreter. The first pass with at least two runs
+starts it as a fresh interpreter: a fork's copy-on-write pages would fault
+in the parent's tape again. Until it has imported the package (about
+0.15 s), passes run here whole. It talks over its stdin and stdout in
+pickles, and holds a replica of the model, built anew when ``model.config``
+changes. Each pass sends it ``fn`` (by reference), ``items``, the runs and
+their arguments, the config, the parameters, the normalizer statistics and
+the numpy error state. A window (an element of ``items``, or an
+``EventSeries`` anywhere in the message) crosses the pipe once: the worker
+keeps it while it lives here, and later passes send only its id
+(``_Pickler``). The worker prints nothing, and exits when its input pipe
+closes: at interpreter exit (``atexit``), or when this process dies.
 
 The worker runs the same code on the same numbers, so a pass gives
 bitwise what it gives in this process alone. Its exceptions come back
@@ -35,12 +41,11 @@ import weakref
 
 import numpy as np
 
+from .encoder import EventSeries
+
 # Whether ``train`` uses a worker: only where this process may run on two
 # CPUs or more. Tests patch it.
 ENABLED = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-# The window list each task reads in the worker.
-SLOTS = {"calibrate": "train", "gradients": "train", "evaluate": "val"}
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL  # 5 writes numpy arrays without a copy
 
@@ -51,74 +56,27 @@ PIPE_BYTES = 1 << 20
 _EXIT_WAIT_S = 5.0
 
 
-def share(worker: "Worker | None", task: str, fn, model, items: list, runs: list, *args):
+def share(worker: bool, fn, model, items: list, runs: list, *args):
     """``fn(model, items, half, *args)`` for both halves of ``runs``: the
-    first ceil(n/2) runs here, the rest in the worker as ``task`` (here too
-    without a worker, or when it dies). Returns both halves' results, None
-    for an empty half; the worker's result is its task's, which for
-    ``calibrate`` differs from ``fn``'s."""
+    first ceil(n/2) runs here, the rest in the worker process if ``worker``
+    (here too without one, or when it dies). Returns both halves' results,
+    None for an empty half."""
     h = (len(runs) + 1) // 2
     mine, theirs = runs[:h], runs[h:]
-    pending = worker.submit(task, theirs, *args) if worker is not None and theirs else None
+    proc = _process() if worker and theirs else None
+    sent = proc is not None and proc.ready() and proc.submit(fn, model, items, theirs, args)
     try:
         first = fn(model, items, mine, *args) if mine else None
     except BaseException as e:
-        if pending is not None:
-            pending.abandon(drain=isinstance(e, Exception))
+        if sent and isinstance(e, Exception):
+            proc.receive()  # read and drop its reply
+        elif sent:  # an interrupt: stop it
+            _retire()
         raise
-    second = pending.result() if pending is not None else None
+    second = proc.result() if sent else None
     if second is None and theirs:
         second = fn(model, items, theirs, *args)
     return first, second
-
-
-class Worker:
-    """``train``'s handle on the worker process for one call."""
-
-    def __init__(self, model, train_items: list, val_items: list):
-        self.model = model
-        self.windows = {"train": train_items, "val": val_items}
-        self.sent = None  # the parameter arrays last sent; a new call sends them once
-
-    def submit(self, task: str, runs: list, *args) -> "_Pending | None":
-        """Send ``task`` over ``runs``; None if no worker can take it."""
-        proc = _process()
-        if proc is None or not proc.ready():
-            return None
-        return proc.submit(self, task, runs, args)
-
-
-class _Pending:
-    """A task the worker is running."""
-
-    def __init__(self, proc: "_Process"):
-        self.proc = proc
-
-    def result(self):
-        """The task's result; re-emits its warnings and re-raises its error.
-        None if the worker died."""
-        reply = self.proc.receive()
-        if reply is None:
-            return None
-        status, value, caught = reply
-        for category, message in caught:
-            warnings.warn(message, category, stacklevel=2)
-        if status == "error":
-            etype, message = value
-            try:
-                exc = etype(message)
-            except Exception:
-                exc = RuntimeError(f"{etype.__name__}: {message}")
-            raise exc
-        return value
-
-    def abandon(self, drain: bool) -> None:
-        """Read and drop the reply (this process's half failed), or stop the
-        worker when the failure was an interrupt."""
-        if drain:
-            self.proc.receive()
-        else:
-            _retire()
 
 
 class _Process:
@@ -137,9 +95,8 @@ class _Process:
             except (AttributeError, OSError):  # not Linux, or over its pipe-max-size
                 pass
         self.started = False  # whether it has finished its imports
-        self.config = None  # the replica's config
-        self.holder = lambda: None  # (a weak reference to) the Worker whose parameters it holds
-        self.windows = {}  # slot -> weak references to the items it holds
+        self.held = weakref.WeakValueDictionary()  # id -> each window it holds
+        self.dropped = []  # ids of windows it holds that have died here since the last pass
         atexit.register(self.close)
 
     def ready(self) -> bool:
@@ -148,31 +105,40 @@ class _Process:
             self.started = self.receive() is not None
         return self.started
 
-    def submit(self, worker: Worker, task: str, runs: list, args: tuple) -> "_Pending | None":
-        model = worker.model
-        config = model.config.to_dict()
-        params = {k: p.data for k, p in model.parameters().items()}
-        fresh = (self.holder() is worker and worker.sent is not None
-                 and all(a is b for a, b in zip(worker.sent, params.values())))
-        slot = SLOTS[task]
-        items = worker.windows[slot]
-        held = self.windows.get(slot, [])
-        same_items = len(held) == len(items) and all(r() is it for r, it in zip(held, items))
-        msg = (None if config == self.config else config, None if fresh else params,
-               model.buffers(), None if same_items else (slot, items), np.geterr(),
-               (task, runs, args))
-        try:
-            pickle.dump(msg, self.popen.stdin, protocol=_PROTOCOL)
+    def submit(self, fn, model, items: list, runs: list, args: tuple) -> bool:
+        """Send ``fn`` over ``runs`` of ``items``; False if the worker is gone."""
+        dropped, self.dropped[:] = self.dropped[:], []
+        msg = (model.config.to_dict(), {k: p.data for k, p in model.parameters().items()},
+               model.buffers(), np.geterr(), fn, items, runs, args)
+        try:  # the dropped ids first: a window in the message may reuse one
+            pickle.dump(dropped, self.popen.stdin, protocol=_PROTOCOL)
+            _Pickler(self, items).dump(msg)
             self.popen.stdin.flush()
         except OSError:
             _retire()
-            return None
+            return False
         except BaseException:  # a message cut short would garble the stream
             _retire()
             raise
-        self.config, self.holder, worker.sent = config, weakref.ref(worker), list(params.values())
-        self.windows[slot] = [weakref.ref(it) for it in items]
-        return _Pending(self)
+        return True
+
+    def result(self):
+        """The pass's result; re-emits its warnings and re-raises its error.
+        None if the worker died."""
+        reply = self.receive()
+        if reply is None:
+            return None
+        status, value, caught = reply
+        for category, message in caught:
+            warnings.warn(message, category, stacklevel=2)
+        if status == "error":
+            etype, message = value
+            try:
+                exc = etype(message)
+            except Exception:
+                exc = RuntimeError(f"{etype.__name__}: {message}")
+            raise exc
+        return value
 
     def receive(self):
         try:
@@ -221,26 +187,37 @@ def _retire() -> None:
         proc.close()
 
 
+class _Pickler(pickle.Pickler):
+    """Writes a pass's message: a window that the worker holds as its id here,
+    and any other window whole, for the worker to hold under its id."""
+
+    def __init__(self, proc: _Process, items: list):
+        super().__init__(proc.popen.stdin, protocol=_PROTOCOL)
+        self.proc, self.elements = proc, {id(item) for item in items}
+
+    def reducer_override(self, obj):
+        if not (isinstance(obj, EventSeries) or id(obj) in self.elements):
+            return NotImplemented
+        if self.proc.held.get(id(obj)) is obj:
+            return _held, (id(obj),)
+        self.proc.held[id(obj)] = obj
+        weakref.finalize(obj, self.proc.dropped.append, id(obj))
+        return _hold, (id(obj), type(obj)), vars(obj)
+
+
 # -- the worker's side ---------------------------------------------------------------
 
+_WINDOWS: dict = {}  # the windows the worker holds, by their ids in the parent
 
-def _observations(model, items: list, runs: list) -> list:
-    """``calibrate``'s no-tape pass over ``runs`` of ``items``, recording
-    instead of pooling: per normalizer, each observe's (n, mean, scatter
-    diagonal) in run order. ``BatchNorm.observe`` reads only the diagonal."""
-    norms = model.batch_norms()
-    seen = [[] for _ in norms]
-    for bn, log in zip(norms, seen):
-        bn.start_accumulation()
-        bn.observe = lambda n, mean, scatter, log=log: log.append(
-            (n, mean, np.diagonal(scatter).copy()))
-    try:
-        model.summarize_runs([item.series for item in items], runs)
-    finally:
-        for bn in norms:
-            del bn.observe
-            bn.stop_accumulation()  # nothing reached the accumulator: commits nothing
-    return seen
+
+def _held(key: int):
+    return _WINDOWS[key]
+
+
+def _hold(key: int, cls):
+    """A new window, held under ``key``; unpickling then fills in its fields."""
+    _WINDOWS[key] = obj = cls.__new__(cls)
+    return obj
 
 
 def _portable(cls, default):
@@ -253,39 +230,32 @@ def _portable(cls, default):
 
 
 def serve() -> None:
-    """The worker's loop: one task per message on stdin, one reply on stdout."""
-    # imported here: both import this module
-    from .model import ModelConfig, SedFormer
-    from .training import window_errors, window_gradients
+    """The worker's loop: one pass per message on stdin, one reply on stdout."""
+    from .model import ModelConfig, SedFormer  # imported here: model imports this module
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles interrupts
     inp, out = os.fdopen(os.dup(0), "rb"), os.fdopen(os.dup(1), "wb")
     null = os.open(os.devnull, os.O_RDWR)
     os.dup2(null, 0)
     os.dup2(null, 1)
-    tasks = {"calibrate": _observations, "gradients": window_gradients,
-             "evaluate": window_errors}
     pickle.dump("ready", out, protocol=_PROTOCOL)
     out.flush()
-    model, params, windows = None, None, {}
+    model = None
     while True:
         try:
-            config, new_params, buffers, new_windows, errstate, (task, runs, args) = \
-                pickle.load(inp)
+            for key in pickle.load(inp):
+                del _WINDOWS[key]
+            config, params, buffers, errstate, fn, items, runs, args = pickle.load(inp)
         except EOFError:
             return
-        if new_windows is not None:
-            windows[new_windows[0]] = new_windows[1]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                if config is not None:
+                if model is None or model.config.to_dict() != config:
                     model = SedFormer(ModelConfig.from_dict(config))
-                if new_params is not None:
-                    params = new_params
                 model.load_state(params, buffers)
                 with np.errstate(**errstate):
-                    reply = ("ok", tasks[task](model, windows[SLOTS[task]], runs, *args))
+                    reply = ("ok", fn(model, items, runs, *args))
             except Exception as e:
                 reply = ("error", (_portable(type(e), RuntimeError), str(e)))
         notes = [(_portable(w.category, UserWarning), str(w.message)) for w in caught]

@@ -146,9 +146,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- autodiff -----------------------------------------------------------
 
     def backward(self) -> None:
@@ -181,10 +178,10 @@ class Tensor:
         out_data = a.data + b.data
 
         def bwd(g):
-            _accum(a, g)
-            _accum(b, g)
+            accumulate_grad(a, g)
+            accumulate_grad(b, g)
 
-        return _op(out_data, (a, b), bwd)
+        return make_op(out_data, (a, b), bwd)
 
     __radd__ = __add__
 
@@ -193,11 +190,11 @@ class Tensor:
         out_data = a.data - b.data
 
         def bwd(g):
-            _accum(a, g)
+            accumulate_grad(a, g)
             if b.requires_grad:
-                _accum(b, -g)
+                accumulate_grad(b, -g)
 
-        return _op(out_data, (a, b), bwd)
+        return make_op(out_data, (a, b), bwd)
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
@@ -206,9 +203,9 @@ class Tensor:
         a = self
 
         def bwd(g):
-            _accum(a, -g)
+            accumulate_grad(a, -g)
 
-        return _op(-a.data, (a,), bwd)
+        return make_op(-a.data, (a,), bwd)
 
     def __mul__(self, other):
         a, b = self, _coerce(other)
@@ -217,11 +214,11 @@ class Tensor:
 
         def bwd(g):
             if a.requires_grad:
-                _accum(a, g * b.data)
+                accumulate_grad(a, g * b.data)
             if b.requires_grad:
-                _accum(b, g * a.data)
+                accumulate_grad(b, g * a.data)
 
-        return _op(out_data, (a, b), bwd)
+        return make_op(out_data, (a, b), bwd)
 
     __rmul__ = __mul__
 
@@ -231,11 +228,11 @@ class Tensor:
 
         def bwd(g):
             if a.requires_grad:
-                _accum(a, g / b.data)
+                accumulate_grad(a, g / b.data)
             if b.requires_grad:
-                _accum(b, -g * a.data / (b.data * b.data))
+                accumulate_grad(b, -g * a.data / (b.data * b.data))
 
-        return _op(out_data, (a, b), bwd)
+        return make_op(out_data, (a, b), bwd)
 
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
@@ -247,9 +244,9 @@ class Tensor:
         out_data = a.data ** pf
 
         def bwd(g):
-            _accum(a, g * pf * a.data ** (pf - 1.0))
+            accumulate_grad(a, g * pf * a.data ** (pf - 1.0))
 
-        return _op(out_data, (a,), bwd)
+        return make_op(out_data, (a,), bwd)
 
     def __matmul__(self, other):
         """[..., n, k] @ [..., k, m] with equal leading (batch) shapes."""
@@ -264,11 +261,11 @@ class Tensor:
 
         def bwd(g):
             if a.requires_grad:
-                _accum(a, g @ b.data.swapaxes(-1, -2))
+                accumulate_grad(a, g @ b.data.swapaxes(-1, -2))
             if b.requires_grad:
-                _accum(b, a.data.swapaxes(-1, -2) @ g)
+                accumulate_grad(b, a.data.swapaxes(-1, -2) @ g)
 
-        return _op(out_data, (a, b), bwd)
+        return make_op(out_data, (a, b), bwd)
 
     # -- reductions and shape ops --------------------------------------------
 
@@ -280,9 +277,9 @@ class Tensor:
             gg = g
             if axis is not None and not keepdims:
                 gg = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape))
+            accumulate_grad(a, np.broadcast_to(gg, a.data.shape))
 
-        return _op(out_data, (a,), bwd)
+        return make_op(out_data, (a,), bwd)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -301,9 +298,9 @@ class Tensor:
         out_data = a.data.reshape(shape)
 
         def bwd(g):
-            _accum(a, g.reshape(a.data.shape))
+            accumulate_grad(a, g.reshape(a.data.shape))
 
-        return _op(out_data, (a,), bwd)
+        return make_op(out_data, (a,), bwd)
 
     def transpose(self, *axes):
         """Permute axes; with no arguments, swap the two axes of a 2-D tensor."""
@@ -315,9 +312,9 @@ class Tensor:
         inverse = np.argsort(axes)
 
         def bwd(g):
-            _accum(a, g.transpose(inverse))
+            accumulate_grad(a, g.transpose(inverse))
 
-        return _op(a.data.transpose(axes), (a,), bwd)
+        return make_op(a.data.transpose(axes), (a,), bwd)
 
     @property
     def T(self):
@@ -339,83 +336,42 @@ class Tensor:
             else:  # kept for the tests' differentiable gathers (the concat-decoder oracle)
                 full = np.zeros_like(a.data)
                 np.add.at(full, idx, g)
-                _accum(a, full)
+                accumulate_grad(a, full)
 
-        return _op(out_data, (a,), bwd)
+        return make_op(out_data, (a,), bwd)
 
     # -- elementwise nonlinearities -------------------------------------------
 
+    def _elementwise(self, out_data, grad) -> Tensor:
+        """An elementwise op's output; ``grad(g)`` is this input's gradient."""
+        return make_op(out_data, (self,), lambda g: accumulate_grad(self, grad(g)))
+
     def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def bwd(g):
-            _accum(a, g * out_data)
-
-        return _op(out_data, (a,), bwd)
+        out_data = np.exp(self.data)
+        return self._elementwise(out_data, lambda g: g * out_data)
 
     def log(self):
-        a = self
-        out_data = np.log(a.data)
-
-        def bwd(g):
-            _accum(a, g / a.data)
-
-        return _op(out_data, (a,), bwd)
+        return self._elementwise(np.log(self.data), lambda g: g / self.data)
 
     def log1p(self):
-        a = self
-        out_data = np.log1p(a.data)
-
-        def bwd(g):
-            _accum(a, g / (1.0 + a.data))
-
-        return _op(out_data, (a,), bwd)
+        return self._elementwise(np.log1p(self.data), lambda g: g / (1.0 + self.data))
 
     def sin(self):
-        a = self
-        out_data = np.sin(a.data)
-
-        def bwd(g):
-            _accum(a, g * np.cos(a.data))
-
-        return _op(out_data, (a,), bwd)
+        return self._elementwise(np.sin(self.data), lambda g: g * np.cos(self.data))
 
     def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def bwd(g):
-            _accum(a, g * 0.5 / out_data)
-
-        return _op(out_data, (a,), bwd)
+        out_data = np.sqrt(self.data)
+        return self._elementwise(out_data, lambda g: g * 0.5 / out_data)
 
     def sigmoid(self):
-        a = self
-        out_data = sigmoid(a.data)
-
-        def bwd(g):
-            _accum(a, g * out_data * (1.0 - out_data))
-
-        return _op(out_data, (a,), bwd)
+        out_data = sigmoid(self.data)
+        return self._elementwise(out_data, lambda g: g * out_data * (1.0 - out_data))
 
     def softplus(self):
-        a = self
-        out_data = softplus(a.data)
-
-        def bwd(g):
-            _accum(a, g * sigmoid(a.data))
-
-        return _op(out_data, (a,), bwd)
+        return self._elementwise(softplus(self.data), lambda g: g * sigmoid(self.data))
 
     def relu(self):
-        a = self
-        out_data = np.maximum(a.data, 0.0)
-
-        def bwd(g):
-            _accum(a, g * (a.data > 0.0))
-
-        return _op(out_data, (a,), bwd)
+        return self._elementwise(np.maximum(self.data, 0.0), lambda g: g * (self.data > 0.0))
 
 
 # -- construction helpers -----------------------------------------------------
@@ -435,7 +391,8 @@ def is_recording(*parents: Tensor) -> bool:
     return _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
 
 
-def _op(data, parents, backward) -> Tensor:
+def make_op(data, parents, backward) -> Tensor:
+    """An op's output: on the tape, with its ``backward`` rule, while recording."""
     if is_recording(*parents):
         out = Tensor(data, requires_grad=True)
         out._parents = tuple(parents)
@@ -444,17 +401,8 @@ def _op(data, parents, backward) -> Tensor:
     return Tensor(data)
 
 
-def make_op(data, parents, backward) -> Tensor:
-    """Register a custom op (hand-derived backward) on the tape."""
-    return _op(data, parents, backward)
-
-
 def accumulate_grad(t: Tensor, g) -> None:
-    """Add an upstream gradient into ``t.grad`` (for custom ops)."""
-    _accum(t, g)
-
-
-def _accum(t: Tensor, g) -> None:
+    """Add an upstream gradient into ``t.grad``, summed down to ``t``'s shape."""
     if not t.requires_grad:
         return
     g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
@@ -533,9 +481,9 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         for p, lo, hi in zip(parents, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            _accum(p, g[tuple(sl)])
+            accumulate_grad(p, g[tuple(sl)])
 
-    return _op(out_data, tuple(parents), bwd)
+    return make_op(out_data, tuple(parents), bwd)
 
 
 def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
@@ -569,14 +517,14 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
             gx_pad = np.zeros_like(x_pad)
             for j in range(k):
                 gx_pad[j:j + K] += (g * kernels.data[:, :, j]).sum(axis=-1)
-            _accum(x, gx_pad[r:r + K])
+            accumulate_grad(x, gx_pad[r:r + K])
         if kernels.requires_grad:
             gk = np.empty_like(kernels.data)
             for j in range(k):
                 gk[:, :, j] = (g * x_pad[j:j + K, ..., None]).sum(axis=lead)
-            _accum(kernels, gk)
+            accumulate_grad(kernels, gk)
 
-    return _op(out, (x, kernels), bwd)
+    return make_op(out, (x, kernels), bwd)
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -599,13 +547,13 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     def bwd(g):
         g2 = g.reshape(-1, m)
         if x.requires_grad:
-            _accum(x, (g2 @ wd.T).reshape(x.shape))
+            accumulate_grad(x, (g2 @ wd.T).reshape(x.shape))
         if w.requires_grad:
-            _accum(w, xd.T @ g2)
+            accumulate_grad(w, xd.T @ g2)
         if bias is not None and bias.requires_grad:
-            _accum(bias, g2.sum(axis=0))
+            accumulate_grad(bias, g2.sum(axis=0))
 
-    return _op(out.reshape(x.shape[:-1] + (m,)), parents, bwd)
+    return make_op(out.reshape(x.shape[:-1] + (m,)), parents, bwd)
 
 
 def fold(w: Tensor, bias: Tensor | None = None, pre: tuple[Tensor, Tensor] | None = None,
@@ -720,10 +668,10 @@ class BatchNorm(Module):
     """Per-channel normalization with stored statistics; the channel axis is last.
 
     Every call applies ``running_mean``/``running_var`` and is deterministic.
-    The statistics change only through ``start_accumulation``/
-    ``stop_accumulation`` (exact pooled moments of every ``observe`` in
-    between) or by writing into the arrays in place (``SedFormer.load_state``);
-    each such write calls ``stats_written``. There is no per-batch mode.
+    The statistics change only by ``commit`` (exact pooled moments of what
+    ``observe`` kept between ``start_accumulation`` and ``stop_accumulation``)
+    or by writing into the arrays in place (``SedFormer.load_state``); each
+    such write calls ``stats_written``. There is no per-batch mode.
     """
 
     eps = 1e-5  # added to the variance
@@ -737,32 +685,42 @@ class BatchNorm(Module):
         self._acc = None
 
     def start_accumulation(self) -> None:
-        """Begin pooling input moments: a count, a mean and a centred sum of squares."""
-        self._acc = (0, np.zeros(self.channels), np.zeros(self.channels))
+        """Begin keeping what ``observe`` sees, in order."""
+        self._acc = []
 
     @property
     def accumulating(self) -> bool:
-        """Whether input moments are being pooled into new statistics."""
+        """Whether input moments are being kept for new statistics."""
         return self._acc is not None
 
     def observe(self, n: int, mean: np.ndarray, scatter: np.ndarray) -> None:
-        """While accumulating, pool n rows of this mean and centred scatter matrix
-        (its diagonal; see ``moments``) by Chan, Golub & LeVeque's pairwise update."""
-        if self._acc is None or n == 0:
-            return
-        n_a, mean_a, m2_a = self._acc
-        total, delta = n_a + n, mean - mean_a
-        self._acc = (total, mean_a + delta * (n / total),
-                     m2_a + np.diagonal(scatter) + delta * delta * (n_a * n / total))
+        """While accumulating, keep n rows' mean and centred scatter matrix: its
+        diagonal, which is all ``commit`` reads (see ``moments``)."""
+        if self._acc is not None and n:
+            self._acc.append((n, mean, np.diagonal(scatter).copy()))
+
+    def take_observations(self) -> list:
+        """End accumulation: what ``observe`` kept, (n, mean, scatter diagonal)
+        in order. The statistics do not change."""
+        seen, self._acc = self._acc, None
+        return seen or []
 
     def stop_accumulation(self) -> None:
-        """Commit accumulated moments as the new running statistics."""
-        acc, self._acc = self._acc, None
-        if acc is None or acc[0] == 0:
+        """End accumulation and ``commit`` what was observed."""
+        self.commit(self.take_observations())
+
+    def commit(self, observations: list) -> None:
+        """Pool ``observations`` in order by Chan, Golub & LeVeque's pairwise
+        update and make their moments the running statistics; none leaves them."""
+        n_a, mean_a, m2_a = 0, np.zeros(self.channels), np.zeros(self.channels)
+        for n, mean, diagonal in observations:
+            total, delta = n_a + n, mean - mean_a
+            n_a, mean_a, m2_a = (total, mean_a + delta * (n / total),
+                                 m2_a + diagonal + delta * delta * (n_a * n / total))
+        if n_a == 0:
             return
-        n, mean, m2 = acc
-        self.running_mean[...] = mean
-        self.running_var[...] = np.maximum(m2 / n, 0.0)
+        self.running_mean[...] = mean_a
+        self.running_var[...] = np.maximum(m2_a / n_a, 0.0)
         stats_written()
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -182,7 +182,7 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def evaluate(model: SedFormer, items: list[WindowItem], scaler=None, worker=None) -> dict:
+def evaluate(model: SedFormer, items: list[WindowItem], scaler=None, worker: bool = False) -> dict:
     """Pooled metrics in inference mode (hard spikes, no tape).
 
     Windows run in batches of like length (``eval_batches``): in order of
@@ -193,13 +193,12 @@ def evaluate(model: SedFormer, items: list[WindowItem], scaler=None, worker=None
 
     With a ``scaler`` (a ``data.Standardizer``) the items are raw: each window
     is scaled on the way in and its predictions unscaled on the way out.
-    ``worker`` is ``train``'s (``parallel.Worker``), whose validation windows
-    are ``items``; the worker process then runs the second half of the
-    batches, and the metrics are bitwise those of a call without it.
+    With ``worker`` the worker process runs the second half of the batches
+    (``parallel.share``), and the metrics are bitwise those of one process.
     """
     errs = [None] * len(items)
     batches = eval_batches([item.series for item in items], [item.n_queries for item in items])
-    for half in parallel.share(worker, "evaluate", window_errors, model, items, batches, scaler):
+    for half in parallel.share(worker, window_errors, model, items, batches, scaler):
         for i, e in half or ():
             errs[i] = e
     e = np.concatenate(errs) if errs else np.zeros(0)
@@ -264,10 +263,9 @@ def train(model: SedFormer, train_items: list[WindowItem],
     order (``window_gradients``).
 
     Where this process may use two CPUs (``parallel.ENABLED``), a worker
-    process runs the second half of the runs of each pass: the epoch's
-    ``calibrate``, each minibatch's gradient runs and the validation
-    ``evaluate`` (see ``parallel``). Every result is bitwise that of a run
-    without it.
+    process runs the second half of the runs of each pass (``parallel.share``):
+    the epoch's ``calibrate``, each minibatch's gradient runs and the
+    validation ``evaluate``. Every result is bitwise that of a run without it.
 
     Returns {"history": [...], "best_epoch": int, "best_val_mse": float};
     the model is left holding the best parameters.
@@ -279,7 +277,7 @@ def train(model: SedFormer, train_items: list[WindowItem],
     history = []
     best = {"epoch": -1, "val_mse": float("inf"), "params": None, "buffers": None}
     train_series = [item.series for item in train_items]
-    worker = parallel.Worker(model, train_items, val_items) if parallel.ENABLED else None
+    worker = parallel.ENABLED
     try:
         # an overflow, a division by zero or an invalid value is divergence too;
         # raising it stops the run at its first op instead of printing warnings
@@ -300,8 +298,7 @@ def train(model: SedFormer, train_items: list[WindowItem],
                             for run in batch_ranges([item.series for item in batch],
                                                     [item.n_queries for item in batch])]
                     (loss_a, grads_a), second = parallel.share(
-                        worker, "gradients", window_gradients, model, train_items, runs,
-                        1.0 / len(batch))
+                        worker, window_gradients, model, train_items, runs, 1.0 / len(batch))
                     loss_b, grads_b = second or (0.0, {})  # a lone run has no second half
                     for k, p in params.items():
                         a, b = grads_a[k], grads_b.get(k)

@@ -753,3 +753,77 @@ def test_fuzz_dataset_files_exit_0_or_2(workdir, edit):
         for path in (p for p in runs.rglob("*") if p.is_file()):
             assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), \
                 (edit, path.name)
+
+
+# -- fuzzing the corpus CSV --------------------------------------------------------------
+
+CORPUS_DAYS = 210
+CORPUS_EDITS = ["cell", "row", "span", "short-row", "no-rows", "numeric-header"]
+
+
+def _corpus_rows() -> list[list[str]]:
+    """A wide daily corpus of three variates: a header, then one row each."""
+    t = np.arange(CORPUS_DAYS)
+    header = ["id", *(f"d{i}" for i in t)]
+    return [header, *([f"s{d}", *(repr(float(v)) for v in np.sin(t / (5.0 + d)) + d)]
+                      for d in range(3))]
+
+
+@st.composite
+def corpus_edits(draw):
+    """One edit of the corpus: a cell, a whole row or a span of days set to a
+    value of ``CELL_VALUES``; a row one cell short; no data rows; or a numeric
+    first header cell."""
+    kind = draw(st.sampled_from(CORPUS_EDITS))
+    if kind in ("no-rows", "numeric-header"):
+        return (kind,)
+    row = draw(st.integers(0, 2))
+    if kind == "short-row":
+        return kind, row
+    value = draw(st.sampled_from(CELL_VALUES))
+    if kind == "row":
+        return kind, row, value
+    days = draw(st.integers(1, 60)) if kind == "span" else 1
+    return kind, row, value, draw(st.integers(0, CORPUS_DAYS - days)), days
+
+
+def _edit_corpus(rows: list[list[str]], edit) -> list[list[str]]:
+    kind, *args = edit
+    if kind == "no-rows":
+        return rows[:1]
+    if kind == "numeric-header":
+        rows[0][0] = "0"
+    elif kind == "short-row":
+        del rows[1 + args[0]][-1]
+    elif kind == "row":
+        row, value = args
+        rows[1 + row][1:] = [value] * CORPUS_DAYS
+    else:
+        row, value, start, days = args
+        rows[1 + row][1 + start:1 + start + days] = [value] * days
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edit=corpus_edits())
+@example(edit=("row", 0, "1e308"))  # a median of two 1e308 overflowed in mad_smooth
+def test_fuzz_corpus_csv_exit_0_or_2(tmp_path_factory, edit):
+    """A small corpus CSV with one edit goes through ``prepare``: exit 0 with
+    finite numbers in every file written, or exit 2 with an error; never a
+    traceback or a numpy warning."""
+    root = tmp_path_factory.mktemp("corpus")
+    corpus, out = root / "corpus.csv", root / "data"
+    with open(corpus, "w", newline="") as f:
+        csv.writer(f).writerows(_edit_corpus(_corpus_rows(), edit))
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        code = main(["prepare", "--corpus", str(corpus), "--out-dir", str(out)])
+    assert code in (0, 2), (edit, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], edit
+    for path in (p for p in out.rglob("*") if p.is_file()):
+        assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), \
+            (edit, path.name)

@@ -33,6 +33,11 @@ def test_load_csv(tmp_path):
     with pytest.raises(DataError):
         load_csv(str(bad))
 
+    huge = tmp_path / "huge.csv"  # beyond MAX_ABS_VALUE, where mad_smooth's median overflowed
+    huge.write_text("d0,d1\n1.0,-1e308\n")
+    with pytest.raises(DataError, match=r"huge\.csv: cell at row 2, column 2: '-1e308'"):
+        load_csv(str(huge))
+
 
 def test_load_csv_variate_selection(tmp_path):
     p = tmp_path / "c.csv"

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import sedformer
-from sedformer import ModelConfig, SedFormer, TrainConfig, parallel, train
+from sedformer import ModelConfig, SedFormer, TrainConfig, evaluate, parallel, train
 from sedformer import model as model_mod
 from sedformer.errors import ConfigError
+from sedformer.training import window_errors, window_gradients
 
 CONFIG = ModelConfig(n_variates=8, conv_channels=4, dim=8, heads=2, blocks=1)
 
@@ -56,17 +57,17 @@ def ready_worker():
 
 
 def count_passes(monkeypatch) -> list:
-    """A list that gets one entry per pass the worker takes."""
+    """A list that gets one entry, its function, per pass the worker takes."""
     taken = []
-    submit = parallel.Worker.submit
+    submit = parallel._Process.submit
 
-    def counted(self, task, runs, *args):
-        pending = submit(self, task, runs, *args)
-        if pending is not None:
-            taken.append(task)
-        return pending
+    def counted(self, fn, *args):
+        sent = submit(self, fn, *args)
+        if sent:
+            taken.append(fn)
+        return sent
 
-    monkeypatch.setattr(parallel.Worker, "submit", counted)
+    monkeypatch.setattr(parallel._Process, "submit", counted)
     return taken
 
 
@@ -92,7 +93,7 @@ def test_worker_changes_no_bit(monkeypatch):
         result = train(model, train_items, val_items, cfg)
         runs[enabled] = (state(model), result, list(taken))
     assert runs[False][2] == []
-    assert runs[True][2] == ["calibrate", "gradients", "evaluate"] * 2
+    assert runs[True][2] == [SedFormer.observe_runs, window_gradients, window_errors] * 2
     assert runs[True][:2] == runs[False][:2]
 
 
@@ -106,8 +107,51 @@ def test_calibration_through_the_worker_is_bitwise():
     ready_worker()
     for _ in range(2):
         alone.calibrate(series)
-        shared.calibrate(series, worker=parallel.Worker(shared, items, []))
+        shared.calibrate(series, worker=True)
         assert state(shared) == state(alone)
+
+
+def test_evaluate_through_the_worker_reads_the_windows_it_is_handed(monkeypatch):
+    """After ``train`` has handed the worker its training and validation
+    windows, ``evaluate`` through the worker over other windows gives bitwise
+    the metrics of one process: the worker computes on the windows of the
+    call, not on a list it held before."""
+    monkeypatch.setattr(parallel, "ENABLED", True)
+    train_items, val_items, other = windows(4, seed=8), windows(3, seed=9), windows(3, seed=10)
+    ready_worker()
+    model = SedFormer(CONFIG)
+    train(model, train_items, val_items, TrainConfig(epochs=1, batch_size=4))
+    taken = count_passes(monkeypatch)
+    assert evaluate(model, other, worker=True) == evaluate(model, other)
+    assert taken == [window_errors]
+
+
+def test_each_window_list_crosses_the_pipe_once(monkeypatch):
+    """Over a 2-epoch ``train`` the training windows and their series each go
+    whole into one message, and so do the validation windows and theirs; a
+    later ``evaluate`` over windows of both lists sends none whole."""
+    monkeypatch.setattr(parallel, "ENABLED", True)
+    train_items, val_items = windows(4, seed=11), windows(3, seed=12)
+    ready_worker()
+    whole, override = [], parallel._Pickler.reducer_override
+
+    def recorded(self, obj):
+        reduced = override(self, obj)
+        if reduced is not NotImplemented and reduced[0] is parallel._hold:
+            whole.append((self, id(obj)))  # this message sends obj whole
+        return reduced
+
+    monkeypatch.setattr(parallel._Pickler, "reducer_override", recorded)
+    model = SedFormer(CONFIG)
+    train(model, train_items, val_items, TrainConfig(epochs=2, batch_size=4))
+    mixed = train_items[:2] + val_items
+    assert evaluate(model, mixed, worker=True) == evaluate(model, mixed)
+    for windows_sent in (train_items, [item.series for item in train_items],
+                         val_items, [item.series for item in val_items]):
+        ids = {id(w) for w in windows_sent}
+        sent = [(message, i) for message, i in whole if i in ids]
+        assert sorted(i for _, i in sent) == sorted(ids)
+        assert len({message for message, _ in sent}) == 1
 
 
 def test_a_dead_worker_leaves_its_half_to_this_process(monkeypatch):
@@ -122,14 +166,14 @@ def test_a_dead_worker_leaves_its_half_to_this_process(monkeypatch):
     monkeypatch.setattr(parallel, "_PROCESS", [None])  # a worker of this test's own
     monkeypatch.setattr(parallel, "ENABLED", True)
     proc = ready_worker()
-    result = parallel._Pending.result
+    result = parallel._Process.result
 
     def killed_first(self):
         proc.popen.kill()
         proc.popen.wait()
         return result(self)
 
-    monkeypatch.setattr(parallel._Pending, "result", killed_first)
+    monkeypatch.setattr(parallel._Process, "result", killed_first)
     model = SedFormer(CONFIG)
     assert (train(model, train_items, val_items, cfg), state(model)) == expected
     assert parallel._PROCESS[0] is False
@@ -146,7 +190,7 @@ def test_divergence_in_a_worker_run_is_a_config_error(monkeypatch):
     taken = count_passes(monkeypatch)
     with pytest.raises(ConfigError, match="training diverged"):
         train(SedFormer(CONFIG), items, [], TrainConfig(epochs=1, batch_size=4))
-    assert taken == ["calibrate"]
+    assert taken == [SedFormer.observe_runs]
 
 
 @two_cpus
@@ -185,7 +229,7 @@ def test_warnings_of_worker_runs_reach_the_caller(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         train(SedFormer(CONFIG), items, [], TrainConfig(epochs=1, batch_size=4))
-    assert "gradients" in taken
+    assert window_gradients in taken
     assert sum("variate 0 has no queries" in str(w.message) for w in caught) == 4
 
 

@@ -298,7 +298,10 @@ def test_steady_epoch_does_not_refault_its_tape():
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     run = subprocess.run([sys.executable, "-c", STEADY_EPOCH], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert int(run.stdout.splitlines()[-1]) < 100
+    faults = int(run.stdout.splitlines()[-1])
+    env_bytes = sum(len(os.fsencode(k)) + len(os.fsencode(v)) + 2 for k, v in env.items())
+    # the count moves with the heap layout, which the environment's size shifts
+    assert faults < 100, f"{faults} minor faults with a {env_bytes}-byte environment"
 
 
 @pytest.mark.filterwarnings("ignore:.*no queries")
