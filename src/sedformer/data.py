@@ -754,7 +754,12 @@ def prepare_corpus(csv_path: str, clean_cfg: CleanConfig, n_variates: int | None
     """Full ingestion pipeline for one wide CSV: clean, sparsify, window, split."""
     ids, raw = load_csv(csv_path, n_variates=n_variates)
     D, T = raw.shape
-    cleaned = np.stack([clean_series(raw[d], clean_cfg) for d in range(D)])
+    cleaned = np.empty_like(raw)
+    for d in range(D):  # series d is the file's row d + 2, after the header
+        try:
+            cleaned[d] = clean_series(raw[d], clean_cfg)
+        except DataError as e:
+            raise DataError(f"{csv_path}: series {ids[d]!r} at row {d + 2}: {e}") from None
     mask = np.stack([mcar_sparsify(T, clean_cfg.rate, clean_cfg.seed, d)
                      for d in range(D)])
     items = make_windows(cleaned, mask, stride=window_stride)

@@ -239,7 +239,7 @@ class SedFormer(Module):
     def batch_norms(self) -> list[BatchNorm]:
         return [m for m in self.modules() if isinstance(m, BatchNorm)]
 
-    def calibrate(self, series_list, worker: bool = False) -> None:
+    def calibrate(self, series_list) -> None:
         """Refresh normalization statistics with exact pooled moments.
 
         One no-tape pass in batches (``batch_ranges``) through the folded
@@ -249,13 +249,11 @@ class SedFormer(Module):
         rounding) at the end. This is the only way statistics change outside
         ``load_state``, so training and inference scale features identically.
 
-        With ``worker`` the worker process observes the second half of the
-        batches (``parallel.share``), and what it observed is pooled after
-        this process's half: bitwise the statistics of one process.
+        Where it may, a worker process observes the second half of the batches
+        (``parallel.share``), pooled after this half: bitwise one process's statistics.
         """
         series_list = list(series_list)
-        halves = share(worker, SedFormer.observe_runs, self, series_list,
-                       batch_ranges(series_list))
+        halves = share(SedFormer.observe_runs, self, series_list, batch_ranges(series_list))
         for bn, *seen in zip(self.batch_norms(), *(half for half in halves if half is not None)):
             bn.commit([o for observed in seen for o in observed])  # mine, then theirs
 

@@ -1,24 +1,23 @@
-"""A second process that takes half of each of ``train``'s passes.
+"""A second process that takes half of every pass of two or more runs.
 
-``share(worker, fn, model, items, runs, *args)`` splits ``runs`` into two
+``share(fn, model, items, runs, *args)`` splits ``runs`` into two
 contiguous halves: this process runs ``fn`` on the first ceil(n/2) runs, a
-worker process on the rest. ``train`` shares its three passes this way: the
-per-epoch ``calibrate`` (``SedFormer.observe_runs``), each minibatch's
-gradient runs (``window_gradients``) and the validation pass
-(``window_errors``).
+worker process on the rest (where ``ENABLED``). The passes split this way are
+every ``calibrate`` (``SedFormer.observe_runs``) and ``evaluate``
+(``window_errors``), and each of ``train``'s gradient steps (``window_gradients``).
 
 There is one worker per interpreter. The first pass with at least two runs
 starts it as a fresh interpreter: a fork's copy-on-write pages would fault
 in the parent's tape again. Until it has imported the package (about
 0.15 s), passes run here whole. It talks over its stdin and stdout in
-pickles, and holds a replica of the model, built anew when ``model.config``
-changes. Each pass sends it ``fn`` (by reference), ``items``, the runs and
+pickles. Each pass sends it ``fn`` (by reference), ``items``, the runs and
 their arguments, the config, the parameters, the normalizer statistics and
-the numpy error state. A window (an element of ``items``, or an
-``EventSeries`` anywhere in the message) crosses the pipe once: the worker
-keeps it while it lives here, and later passes send only its id
-(``_Pickler``). The worker prints nothing, and exits when its input pipe
-closes: at interpreter exit (``atexit``), or when this process dies.
+the numpy error state; its model (``replica``) keeps them from pass to pass.
+A window (an element of ``items``, or an ``EventSeries`` anywhere in the
+message) crosses the pipe once: the worker keeps it while it lives here,
+and later passes send only its id (``_Pickler``). The worker prints
+nothing, and exits when its input pipe closes: at interpreter exit
+(``atexit``), or when this process dies.
 
 The worker runs the same code on the same numbers, so a pass gives
 bitwise what it gives in this process alone. Its exceptions come back
@@ -43,7 +42,7 @@ import numpy as np
 
 from .encoder import EventSeries
 
-# Whether ``train`` uses a worker: only where this process may run on two
+# Whether ``share`` uses a worker: only where this process may run on two
 # CPUs or more. Tests patch it.
 ENABLED = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
@@ -56,14 +55,14 @@ PIPE_BYTES = 1 << 20
 _EXIT_WAIT_S = 5.0
 
 
-def share(worker: bool, fn, model, items: list, runs: list, *args):
+def share(fn, model, items: list, runs: list, *args):
     """``fn(model, items, half, *args)`` for both halves of ``runs``: the
-    first ceil(n/2) runs here, the rest in the worker process if ``worker``
+    first ceil(n/2) runs here, the rest in the worker process if ``ENABLED``
     (here too without one, or when it dies). Returns both halves' results,
     None for an empty half."""
     h = (len(runs) + 1) // 2
     mine, theirs = runs[:h], runs[h:]
-    proc = _process() if worker and theirs else None
+    proc = _process() if ENABLED and theirs else None
     sent = proc is not None and proc.ready() and proc.submit(fn, model, items, theirs, args)
     try:
         first = fn(model, items, mine, *args) if mine else None
@@ -229,10 +228,21 @@ def _portable(cls, default):
         return default
 
 
+def replica(model, config: dict, params: dict, buffers: dict):
+    """The worker's model for a pass: ``model`` untouched (its folds cached) if
+    it holds ``config``, ``params`` and ``buffers`` bitwise, else loaded anew."""
+    from .model import ModelConfig, SedFormer  # imported here: model imports this module
+    if model is None or model.config.to_dict() != config:
+        model = SedFormer(ModelConfig.from_dict(config))
+    elif (all(p.data.tobytes() == params[k].tobytes() for k, p in model.parameters().items())
+          and all(b.tobytes() == buffers[k].tobytes() for k, b in model.buffers().items())):
+        return model
+    model.load_state(params, buffers)
+    return model
+
+
 def serve() -> None:
     """The worker's loop: one pass per message on stdin, one reply on stdout."""
-    from .model import ModelConfig, SedFormer  # imported here: model imports this module
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles interrupts
     inp, out = os.fdopen(os.dup(0), "rb"), os.fdopen(os.dup(1), "wb")
     null = os.open(os.devnull, os.O_RDWR)
@@ -251,9 +261,7 @@ def serve() -> None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                if model is None or model.config.to_dict() != config:
-                    model = SedFormer(ModelConfig.from_dict(config))
-                model.load_state(params, buffers)
+                model = replica(model, config, params, buffers)
                 with np.errstate(**errstate):
                     reply = ("ok", fn(model, items, runs, *args))
             except Exception as e:

@@ -182,7 +182,7 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def evaluate(model: SedFormer, items: list[WindowItem], scaler=None, worker: bool = False) -> dict:
+def evaluate(model: SedFormer, items: list[WindowItem], scaler=None) -> dict:
     """Pooled metrics in inference mode (hard spikes, no tape).
 
     Windows run in batches of like length (``eval_batches``): in order of
@@ -193,12 +193,12 @@ def evaluate(model: SedFormer, items: list[WindowItem], scaler=None, worker: boo
 
     With a ``scaler`` (a ``data.Standardizer``) the items are raw: each window
     is scaled on the way in and its predictions unscaled on the way out.
-    With ``worker`` the worker process runs the second half of the batches
-    (``parallel.share``), and the metrics are bitwise those of one process.
+    A worker process runs the second half of the batches where it may
+    (``parallel.share``); the metrics are bitwise those of one process.
     """
     errs = [None] * len(items)
     batches = eval_batches([item.series for item in items], [item.n_queries for item in items])
-    for half in parallel.share(worker, window_errors, model, items, batches, scaler):
+    for half in parallel.share(window_errors, model, items, batches, scaler):
         for i, e in half or ():
             errs[i] = e
     e = np.concatenate(errs) if errs else np.zeros(0)
@@ -277,7 +277,6 @@ def train(model: SedFormer, train_items: list[WindowItem],
     history = []
     best = {"epoch": -1, "val_mse": float("inf"), "params": None, "buffers": None}
     train_series = [item.series for item in train_items]
-    worker = parallel.ENABLED
     try:
         # an overflow, a division by zero or an invalid value is divergence too;
         # raising it stops the run at its first op instead of printing warnings
@@ -289,7 +288,7 @@ def train(model: SedFormer, train_items: list[WindowItem],
                 # frozen stats: per-forward batch stats would tie each window's
                 # scaling to its batch-mates (or normalize away a lone window's
                 # level) and break inference
-                model.calibrate(train_series, worker=worker)
+                model.calibrate(train_series)
                 epoch_losses = []
                 for start in range(0, len(order), cfg.batch_size):
                     picked = order[start:start + cfg.batch_size]
@@ -298,14 +297,14 @@ def train(model: SedFormer, train_items: list[WindowItem],
                             for run in batch_ranges([item.series for item in batch],
                                                     [item.n_queries for item in batch])]
                     (loss_a, grads_a), second = parallel.share(
-                        worker, window_gradients, model, train_items, runs, 1.0 / len(batch))
+                        window_gradients, model, train_items, runs, 1.0 / len(batch))
                     loss_b, grads_b = second or (0.0, {})  # a lone run has no second half
                     for k, p in params.items():
                         a, b = grads_a[k], grads_b.get(k)
                         p.grad = b if a is None else a if b is None else np.add(a, b, out=a)
                     opt.step()
                     epoch_losses.append(loss_a + loss_b)
-                val = (evaluate(model, val_items, worker=worker) if val_items
+                val = (evaluate(model, val_items) if val_items
                        else {"mse": float("nan"), "mae": float("nan")})
                 train_loss = float(np.mean(epoch_losses))
                 if not np.isfinite(train_loss):

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_series
-from sedformer import neuron
+from sedformer import neuron, parallel
 from sedformer.encoder import EventBatch, EventSeries, event_gaps
 from sedformer.errors import NumericsError
 from sedformer.model import BATCH_ROWS, ModelConfig, SedFormer, batch_ranges
@@ -156,6 +156,7 @@ def test_evaluate_batches_by_length_under_the_budget(rng, monkeypatch):
         return forward(self, series, query_times, smooth)
 
     monkeypatch.setattr(SedFormer, "forward", recorded)
+    monkeypatch.setattr(parallel, "ENABLED", False)  # a worker would not record its batches
     evaluate(small_model(), items)
     assert [i for batch in batches for i in batch] == sorted(range(len(windows)),
                                                              key=lambda i: lengths[i])

@@ -827,3 +827,16 @@ def test_fuzz_corpus_csv_exit_0_or_2(tmp_path_factory, edit):
     for path in (p for p in out.rglob("*") if p.is_file()):
         assert not re.search(r"\b(nan|inf|infinity)\b", path.read_text(), re.IGNORECASE), \
             (edit, path.name)
+
+
+@pytest.mark.parametrize("value", ["", "nan"])
+def test_a_corpus_row_without_values_is_named(tmp_path, capsys, value):
+    """A corpus series with no known value exits 2 with an error that names
+    the CSV, the series id and its row in the file."""
+    corpus = tmp_path / "corpus.csv"
+    with open(corpus, "w", newline="") as f:
+        csv.writer(f).writerows(_edit_corpus(_corpus_rows(), ("row", 1, value)))
+    code = main(["prepare", "--corpus", str(corpus), "--out-dir", str(tmp_path / "data")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{corpus}: series 's1' at row 3: series has no known values" in err

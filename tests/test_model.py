@@ -4,7 +4,7 @@ import pytest
 from conftest import gradcheck, random_series
 from oracles import (composed_attention, composed_drive_current, composed_feed_forward,
                      concat_decoder)
-from sedformer import neuron
+from sedformer import neuron, parallel
 from sedformer.backbone import FeedForward, SedAttention
 from sedformer.encoder import EventSeries, SedSeEncoder
 from sedformer.energy import model_energy_report
@@ -61,6 +61,7 @@ def test_event_spike_path_changes_no_output_bit(rng, monkeypatch):
                 evaluate(model, items)["mse"])
 
     monkeypatch.setattr(neuron, "_spike_raster", recorded)
+    monkeypatch.setattr(parallel, "ENABLED", False)  # the patches reach this process only
     on = run()
     assert len(rasters) == 3 * len(windows)  # calibrate, predict, evaluate
     assert all(r is not None for r in rasters) and any(r.any() for r in rasters)

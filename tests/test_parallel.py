@@ -1,4 +1,4 @@
-"""The worker process that takes half of each training pass (``parallel``)."""
+"""The worker process that takes half of every pass of two or more runs (``parallel``)."""
 
 import os
 import signal
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sedformer
-from sedformer import ModelConfig, SedFormer, TrainConfig, evaluate, parallel, train
+from sedformer import ModelConfig, SedFormer, Standardizer, TrainConfig, evaluate, parallel, train
 from sedformer import model as model_mod
 from sedformer.errors import ConfigError
 from sedformer.training import window_errors, window_gradients
@@ -97,7 +97,7 @@ def test_worker_changes_no_bit(monkeypatch):
     assert runs[True][:2] == runs[False][:2]
 
 
-def test_calibration_through_the_worker_is_bitwise():
+def test_calibration_through_the_worker_is_bitwise(monkeypatch):
     """``calibrate`` with the worker pools what its normalizers observed after
     this process's half, in batch order: bitwise the statistics of
     ``calibrate`` alone, also under statistics that are not the initial ones."""
@@ -105,25 +105,81 @@ def test_calibration_through_the_worker_is_bitwise():
     series = [item.series for item in items]
     alone, shared = SedFormer(CONFIG), SedFormer(CONFIG)
     ready_worker()
+    taken = count_passes(monkeypatch)
     for _ in range(2):
+        monkeypatch.setattr(parallel, "ENABLED", False)
         alone.calibrate(series)
-        shared.calibrate(series, worker=True)
+        monkeypatch.setattr(parallel, "ENABLED", True)
+        shared.calibrate(series)
         assert state(shared) == state(alone)
+    assert taken == [SedFormer.observe_runs] * 2
 
 
 def test_evaluate_through_the_worker_reads_the_windows_it_is_handed(monkeypatch):
     """After ``train`` has handed the worker its training and validation
-    windows, ``evaluate`` through the worker over other windows gives bitwise
-    the metrics of one process: the worker computes on the windows of the
-    call, not on a list it held before."""
+    windows, one ``evaluate`` over other windows hands the worker exactly one
+    pass and gives bitwise the metrics of one process: the worker computes on
+    the windows of the call, not on a list it held before. So it does on raw
+    windows with a ``scaler``, as ``sedformer eval`` scores."""
     monkeypatch.setattr(parallel, "ENABLED", True)
     train_items, val_items, other = windows(4, seed=8), windows(3, seed=9), windows(3, seed=10)
     ready_worker()
     model = SedFormer(CONFIG)
     train(model, train_items, val_items, TrainConfig(epochs=1, batch_size=4))
     taken = count_passes(monkeypatch)
-    assert evaluate(model, other, worker=True) == evaluate(model, other)
-    assert taken == [window_errors]
+    for scaler in (None, Standardizer(np.linspace(-0.2, 0.3, 8), np.linspace(0.5, 2.0, 8))):
+        monkeypatch.setattr(parallel, "ENABLED", True)
+        shared = evaluate(model, other, scaler)
+        assert taken == [window_errors]
+        monkeypatch.setattr(parallel, "ENABLED", False)
+        assert shared == evaluate(model, other, scaler)
+        taken.clear()
+
+
+def test_the_worker_keeps_a_replica_that_holds_the_state_sent(monkeypatch):
+    """``replica`` handed the config, parameters and buffers its model holds
+    keeps that model as it is: no ``load_state``, and the folds it cached
+    serve the next forward. One ulp of one parameter element, or of one
+    buffer element, reloads it."""
+    monkeypatch.setattr(parallel, "ENABLED", False)
+    loads, load_state = [], SedFormer.load_state
+
+    def counted(self, *args):
+        loads.append(self)
+        return load_state(self, *args)
+
+    monkeypatch.setattr(SedFormer, "load_state", counted)
+    item = windows(1, seed=14)[0]
+    source = SedFormer(CONFIG)
+    source.calibrate([item.series])  # statistics that are not the initial ones
+
+    def sent():
+        return (CONFIG.to_dict(), {k: p.data.copy() for k, p in source.parameters().items()},
+                {k: b.copy() for k, b in source.buffers().items()})
+
+    def folds(model) -> dict:
+        model.predict(item.series, item.query_times)
+        return {i: vars(m)["_folded"] for i, m in enumerate(model.modules())
+                if "_folded" in vars(m)}
+
+    model = parallel.replica(None, *sent())
+    assert loads == [model] and state(model) == state(source)
+    cached = folds(model)
+    assert cached
+    assert parallel.replica(model, *sent()) is model and loads == [model]
+    after = folds(model)
+    assert after.keys() == cached.keys()
+    assert all(after[k] is cached[k] for k in cached)
+    p = next(iter(source.parameters().values()))
+    p.data = p.data.copy()
+    p.data.flat[0] = np.nextafter(p.data.flat[0], np.inf)
+    assert parallel.replica(model, *sent()) is model and loads == [model] * 2
+    assert state(model) == state(source)
+    buffer = next(iter(source.buffers().values()))
+    buffer.flat[0] = np.nextafter(buffer.flat[0], np.inf)
+    assert parallel.replica(model, *sent()) is model and loads == [model] * 3
+    assert state(model) == state(source)
+    assert parallel.replica(model, *sent()) is model and loads == [model] * 3
 
 
 def test_each_window_list_crosses_the_pipe_once(monkeypatch):
@@ -145,7 +201,9 @@ def test_each_window_list_crosses_the_pipe_once(monkeypatch):
     model = SedFormer(CONFIG)
     train(model, train_items, val_items, TrainConfig(epochs=2, batch_size=4))
     mixed = train_items[:2] + val_items
-    assert evaluate(model, mixed, worker=True) == evaluate(model, mixed)
+    shared = evaluate(model, mixed)
+    monkeypatch.setattr(parallel, "ENABLED", False)
+    assert shared == evaluate(model, mixed)
     for windows_sent in (train_items, [item.series for item in train_items],
                          val_items, [item.series for item in val_items]):
         ids = {id(w) for w in windows_sent}
@@ -235,10 +293,11 @@ def test_warnings_of_worker_runs_reach_the_caller(monkeypatch):
 
 # A parent that starts the worker, prints its pid, then trains (MODE
 # "exit"), trains on windows that diverge and lets the ConfigError go
-# uncaught ("raise"), or trains and then waits to be killed ("kill").
+# uncaught ("raise"), trains and then waits to be killed ("kill"), or only
+# evaluates, handing the worker one pass ("evaluate").
 LIFECYCLE = WINDOWS + """
 import sys, time
-from sedformer import ModelConfig, SedFormer, TrainConfig, parallel, train
+from sedformer import ModelConfig, SedFormer, TrainConfig, evaluate, parallel, train
 
 mode = sys.argv[1]
 parallel.ENABLED = True
@@ -248,6 +307,10 @@ while not proc.ready():
 print(proc.popen.pid, flush=True)
 items = windows(3) + windows(1, scale=1e300 if mode == "raise" else 1.0)
 model = SedFormer(ModelConfig(n_variates=8, conv_channels=4, dim=8, heads=2, blocks=1))
+if mode == "evaluate":
+    evaluate(model, items)
+    assert proc.held, "the worker took no pass"
+    sys.exit(0)
 train(model, items, [], TrainConfig(epochs=1, batch_size=4))
 print("trained", flush=True)
 if mode == "kill":
@@ -280,16 +343,18 @@ def start_parent(mode: str) -> tuple[subprocess.Popen, int]:
 
 
 @two_cpus
-@pytest.mark.parametrize("mode", ["exit", "raise"])
+@pytest.mark.parametrize("mode", ["exit", "raise", "evaluate"])
 def test_no_worker_outlives_its_interpreter(mode):
     """The worker ends with the interpreter that started it, whether that
-    exits normally or on an uncaught error from ``train``; it prints nothing."""
+    exits normally (after ``train``, or after only an ``evaluate``) or on an
+    uncaught error from ``train``; it prints nothing."""
     parent, pid = start_parent(mode)
     out, err = parent.communicate(timeout=120)
-    if mode == "exit":
-        assert parent.returncode == 0 and out == "trained\n" and err == ""
-    else:
+    if mode == "raise":
         assert parent.returncode == 1 and "training diverged" in err
+    else:
+        assert parent.returncode == 0 and err == ""
+        assert out == {"exit": "trained\n", "evaluate": ""}[mode]
     assert gone(pid, within_s=5.0)
 
 
