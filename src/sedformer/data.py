@@ -6,7 +6,9 @@ bridge between their boundary values, edges by the nearest known value.
 Outliers (in raw-MAD units from the global median) are replaced by a local
 median. A natural cubic spline backstops any value still missing. The
 cleaned panel is then sparsified completely at random (per-variate seeded
-keep masks) and cut into rolling history/horizon windows.
+keep masks) and cut into rolling history/horizon windows straight from the
+daily grid: a window's events are the days some variate kept. Arbitrary
+stamps (a dataset file's rows) go through ``encoder.align_events`` instead.
 
 Also houses two synthetic generators: a forecasting suite (sinusoid plus
 trend, bursty availability) and a one-variate visualization series with
@@ -133,13 +135,12 @@ def load_csv(path: str, n_variates: int | None = None) -> tuple[list[str], np.nd
 # -- cleaning ---------------------------------------------------------------------
 
 
-def _lagrange3(ts: np.ndarray, ys: np.ndarray, t: float) -> float:
-    """Quadratic Lagrange interpolation through three (t, y) anchors."""
+def _lagrange3(ts: np.ndarray, ys: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Quadratic Lagrange interpolation through three (t, y) anchors, at stamps ``t``."""
     (t0, t1, t2), (y0, y1, y2) = ts, ys
-    return float(
-        y0 * (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2))
-        + y1 * (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2))
-        + y2 * (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)))
+    return (y0 * (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2))
+            + y1 * (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2))
+            + y2 * (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)))
 
 
 def lagrange_fill(series: np.ndarray, gap_cap: int = 3) -> np.ndarray:
@@ -165,34 +166,27 @@ def lagrange_fill(series: np.ndarray, gap_cap: int = 3) -> np.ndarray:
     first, last = known[0], known[-1]
     x[:first] = x[first]
     x[last + 1:] = x[last]
-    # interior gaps between consecutive anchors
-    for left, right in zip(known[:-1], known[1:]):
-        gap = right - left - 1
-        if gap == 0:
-            continue
-        if gap <= gap_cap:
-            left_anchors = known[known <= left]
-            right_anchors = known[known >= right]
-            if left_anchors.size >= 2:
-                idx = np.array([left_anchors[-2], left_anchors[-1], right_anchors[0]])
-            else:
-                idx = np.array([left_anchors[-1], right_anchors[0], right_anchors[1]])
-            for t in range(left + 1, right):
-                x[t] = _lagrange3(idx.astype(np.float64), x[idx], float(t))
+    # interior gaps, each between consecutive anchors known[i] and known[i + 1]
+    for i in np.flatnonzero(np.diff(known) > 1):
+        left, right = known[i], known[i + 1]
+        t = np.arange(left + 1, right)
+        if right - left - 1 <= gap_cap:
+            idx = known[i - 1:i + 2] if i >= 1 else known[:3]
+            x[left + 1:right] = _lagrange3(idx.astype(np.float64), x[idx], t.astype(np.float64))
         else:
-            span = right - left
-            for t in range(left + 1, right):
-                frac = (t - left) / span
-                x[t] = (1.0 - frac) * x[left] + frac * x[right]
+            frac = (t - left) / (right - left)
+            x[left + 1:right] = (1.0 - frac) * x[left] + frac * x[right]
     return x
 
 
 def _nearest_fill(x: np.ndarray, known: np.ndarray) -> np.ndarray:
     out = x.copy()
     missing = np.flatnonzero(~np.isfinite(x))
-    for t in missing:
-        j = np.argmin(np.abs(known - t))  # ties resolve to the earlier anchor
-        out[t] = x[known[j]]
+    right = np.minimum(np.searchsorted(known, missing), known.size - 1)
+    left = np.maximum(right - 1, 0)
+    # the right anchor only when strictly nearer: ties resolve to the earlier one
+    nearest = np.where(known[right] - missing < missing - known[left], known[right], known[left])
+    out[missing] = x[nearest]
     return out
 
 
@@ -270,8 +264,11 @@ def spline_impute(series: np.ndarray) -> np.ndarray:
 def clean_series(series: np.ndarray, cfg: CleanConfig) -> np.ndarray:
     """Gap fill, outlier smoothing, then a defensive spline backstop.
 
-    The gap-filling pass already bridges every gap, so the spline stage is
-    a guard for values that remain non-finite rather than a routine step.
+    The gap-filling pass bridges every gap, and on a series ``load_csv``
+    accepts (values within ``MAX_ABS_VALUE``) it leaves every value finite,
+    so ``prepare`` never reaches the spline stage. The stage stays as the
+    guard for arrays handed in directly, which no bound checks: near the
+    float range the fill's quadratic can overflow.
     """
     x = lagrange_fill(series, gap_cap=cfg.gap_cap)
     x = mad_smooth(x, outlier_mult=cfg.outlier_mult, window=cfg.window)
@@ -302,12 +299,12 @@ def make_windows(values: np.ndarray, keep_mask: np.ndarray,
                  stride: int = WINDOW_STRIDE, min_events: int = 1) -> list[WindowItem]:
     """Cut one cleaned panel [D, T] into rolling history/horizon windows.
 
-    History holds only kept observations (times relative to window start,
-    so every window lives on [0, 120)); queries are all horizon days per
-    variate with truths from the cleaned panel. Windows with fewer than
-    ``min_events`` distinct observed times are dropped (at least the
-    zero-observation case); panels shorter than 120 days are skipped with
-    a warning.
+    History holds only kept observations: its events are the days that
+    some variate kept (times relative to window start, so every window
+    lives on [0, 120)). Queries are all horizon days per variate with
+    truths from the cleaned panel. Windows with fewer than ``min_events``
+    events are dropped (at least the zero-observation case); panels
+    shorter than 120 days are skipped with a warning.
     """
     values = np.asarray(values, dtype=np.float64)
     keep_mask = np.asarray(keep_mask, dtype=np.float64)
@@ -320,29 +317,25 @@ def make_windows(values: np.ndarray, keep_mask: np.ndarray,
     if T < WINDOW_DAYS:
         warnings.warn(f"panel has {T} days < {WINDOW_DAYS}; no windows produced")
         return []
+    kept_all, panel = keep_mask.T == 1.0, values.T  # time-major, as EventSeries is
+    q_times = np.arange(HISTORY_DAYS, WINDOW_DAYS, dtype=np.float64)
     items: list[WindowItem] = []
     for start in range(0, T - WINDOW_DAYS + 1, stride):
-        hist = slice(start, start + HISTORY_DAYS)
-        per_variate = []
-        n_obs = 0
-        for d in range(D):
-            days = np.flatnonzero(keep_mask[d, hist] == 1.0)
-            n_obs += days.size
-            per_variate.append((days.astype(np.float64), values[d, hist][days]))
-        if n_obs == 0:
+        kept = kept_all[start:start + HISTORY_DAYS]
+        days = np.flatnonzero(kept.any(axis=1))  # the union of the variates' kept days
+        if days.size == 0:
             warnings.warn(f"window at day {start} has no observed events; dropped")
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            series = align_events(per_variate)
-        if series.n_events < min_events:
-            warnings.warn(f"window at day {start} has {series.n_events} events "
+        if days.size < min_events:
+            warnings.warn(f"window at day {start} has {days.size} events "
                           f"< {min_events}; dropped")
             continue
-        q_times = np.arange(HISTORY_DAYS, WINDOW_DAYS, dtype=np.float64)
-        queries = [q_times.copy() for _ in range(D)]
-        targets = [values[d, start + HISTORY_DAYS:start + WINDOW_DAYS].copy()
-                   for d in range(D)]
+        mask = kept[days]
+        series = EventSeries(times=days.astype(np.float64), mask=mask,
+                             values=np.where(mask, panel[start + days], 0.0))
+        # one row per variate: every horizon day, and its truth
+        queries = list(np.tile(q_times, (D, 1)))
+        targets = list(values[:, start + HISTORY_DAYS:start + WINDOW_DAYS].copy())
         items.append(WindowItem(series=series, query_times=queries, targets=targets))
     return items
 
@@ -648,11 +641,9 @@ def write_dataset(out_dir: str, splits: dict, meta: dict) -> None:
             w.writerow(["window", "role", "t", "variate", "value"])
             for i, item in enumerate(items):
                 s = item.series
-                for k in range(s.n_events):
-                    for d in range(s.n_variates):
-                        if s.mask[k, d] == 1.0:
-                            w.writerow([i, "obs", repr(float(s.times[k])), d,
-                                        repr(float(s.values[k, d]))])
+                for k, d in zip(*np.nonzero(s.mask == 1.0)):  # row-major: by event, then variate
+                    w.writerow([i, "obs", repr(float(s.times[k])), int(d),
+                                repr(float(s.values[k, d]))])
                 for d, (q, y) in enumerate(zip(item.query_times, item.targets)):
                     for t, val in zip(np.asarray(q), np.asarray(y)):
                         w.writerow([i, "query", repr(float(t)), d, repr(float(val))])

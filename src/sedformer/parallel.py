@@ -19,6 +19,10 @@ and later passes send only its id (``_Pickler``). The worker prints
 nothing, and exits when its input pipe closes: at interpreter exit
 (``atexit``), or when this process dies.
 
+Importing this module sets the loaded BLAS library's thread pool to one
+thread (``pin_blas``), here and so in the worker: two processes' default
+pools contend for the CPUs.
+
 The worker runs the same code on the same numbers, so a pass gives
 bitwise what it gives in this process alone. Its exceptions come back
 with their type and message, and its warnings are re-emitted here. If it
@@ -28,6 +32,7 @@ dies, this process runs the second half itself and uses no worker again.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import fcntl
 import os
 import pickle
@@ -42,9 +47,54 @@ import numpy as np
 
 from .encoder import EventSeries
 
-# Whether ``share`` uses a worker: only where this process may run on two
-# CPUs or more. Tests patch it.
-ENABLED = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+# Thread-pool setters of the BLAS builds numpy links, in the order tried:
+# numpy's bundled OpenBLAS, other OpenBLAS builds (64-bit and 32-bit ints), MKL.
+POOL_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                "openblas_set_num_threads", "MKL_Set_Num_Threads")
+# Variables that size a BLAS or OpenMP pool when the library loads.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def blas_pool():
+    """(library, setter name) of a BLAS library this process has loaded, or None."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split(None, 5)[5].strip() for line in f
+                            if any(k in os.path.basename(line).lower() for k in ("blas", "mkl"))})
+    except OSError:  # no /proc: not Linux
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # loaded already: this only finds it
+        except OSError:
+            continue
+        setter = next((name for name in POOL_SETTERS if hasattr(lib, name)), None)
+        if setter:
+            return lib, setter
+    return None
+
+
+def pin_blas() -> bool:
+    """Set the loaded BLAS library's pool to one thread; whether it could."""
+    found = blas_pool()
+    if found:
+        setter = getattr(*found)
+        setter.argtypes, setter.restype = (ctypes.c_int,), None  # each takes one C int
+        setter(1)
+    return found is not None
+
+
+def _enabled() -> bool:
+    """Pin this process's BLAS pool; then whether ``share`` may use a worker:
+    where this process may run on two CPUs or more, and its pool is one
+    thread, pinned or set by a variable."""
+    pinned = pin_blas()
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and (pinned or any(os.environ.get(v) == "1" for v in THREAD_VARS)))
+
+
+ENABLED = _enabled()  # whether ``share`` uses a worker; tests patch it
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL  # 5 writes numpy arrays without a copy
 

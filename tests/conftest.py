@@ -1,8 +1,10 @@
 import os
+import time
 
 # One BLAS/OpenMP thread, as benchmarks/run.py sets (THREAD_VARS), before
 # numpy loads. With OpenBLAS's default pool on a 2-CPU host and a second busy
 # process, one [720, 64] @ [64, 64] product took 6.8 ms instead of 0.26 ms.
+# Importing sedformer pins the pool too (``parallel.pin_blas``).
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -10,8 +12,31 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from sedformer import parallel  # noqa: E402
 from sedformer.encoder import EventSeries  # noqa: E402
 from sedformer.tensor import Tensor, mac_counter  # noqa: E402
+
+
+def ready_worker():
+    """The worker, once it has started (within 60 s)."""
+    proc = parallel._process()
+    assert proc is not None, "no worker in this interpreter"
+    deadline = time.monotonic() + 60.0
+    while not proc.ready():
+        assert time.monotonic() < deadline, "the worker did not start"
+        time.sleep(0.01)
+    return proc
+
+
+@pytest.fixture(autouse=True)
+def started_worker():
+    """Where ``parallel.ENABLED`` is set, every test begins with the worker
+    started, so which process runs a pass of two or more runs does not
+    depend on the tests that ran before. A test that patches code in this
+    process and then runs ``train``, ``evaluate`` or ``calibrate`` sets
+    ``ENABLED`` False: the worker runs the unpatched code."""
+    if parallel.ENABLED:
+        ready_worker()
 
 
 def numeric_grad(fn, leaves, step=1e-5):

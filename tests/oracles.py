@@ -21,23 +21,31 @@ gradients against it:
 - ``count_ann_layer``: the op counts of one dense layer written out as a
   formula, the reference that ``energy.dense_counts`` of a measured
   ``linear`` must reproduce.
+- ``stream_windows``: ``data.make_windows`` through per-variate
+  ``(days, values)`` streams merged by ``align_events``, the way
+  arbitrary stamps are aligned.
+- ``lagrange_fill_by_day`` / ``nearest_fill_by_day``: ``data.lagrange_fill``
+  and its nearest-value fallback, one day at a time.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from sedformer.backbone import FeedForward, SedAttention
-from sedformer.encoder import EventBatch, EventSeries, SedSeEncoder, event_gaps
+from sedformer.data import HISTORY_DAYS, WINDOW_DAYS
+from sedformer.encoder import EventBatch, EventSeries, SedSeEncoder, align_events, event_gaps
 from sedformer.energy import OpCounts, dense_counts
 from sedformer.errors import ConfigError, DataError
 from sedformer.model import Decoder
 from sedformer.neuron import ealif_filter, eta_for_tau, heaviside, surrogate_grad
 from sedformer.tensor import (BatchNorm, Tensor, accumulate_grad, concat, depthwise_conv1d,
                               linear, make_op, parameter, sigmoid)
+from sedformer.training import WindowItem
 
 # -- attention ---------------------------------------------------------------------
 
@@ -238,3 +246,87 @@ def count_ann_layer(d_in: int, d_out: int, t_eff: int) -> OpCounts:
     if t_eff == 0:
         return OpCounts()
     return dense_counts(d_in * d_out * t_eff, d_in * d_out + d_in * t_eff, d_out * t_eff)
+
+
+# -- data ----------------------------------------------------------------------------
+
+
+def stream_windows(values: np.ndarray, keep_mask: np.ndarray, stride: int,
+                   min_events: int = 1) -> list[WindowItem]:
+    """``data.make_windows`` on a valid panel, with the same warnings: each
+    window's history split into one (kept days, values) stream per variate,
+    merged onto their union by ``align_events``."""
+    D, T = values.shape
+    if T < WINDOW_DAYS:
+        warnings.warn(f"panel has {T} days < {WINDOW_DAYS}; no windows produced")
+        return []
+    items = []
+    for start in range(0, T - WINDOW_DAYS + 1, stride):
+        hist = slice(start, start + HISTORY_DAYS)
+        per_variate = []
+        for d in range(D):
+            days = np.flatnonzero(keep_mask[d, hist] == 1.0)
+            per_variate.append((days.astype(np.float64), values[d, hist][days]))
+        if not any(days.size for days, _ in per_variate):
+            warnings.warn(f"window at day {start} has no observed events; dropped")
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a variate with no kept day
+            series = align_events(per_variate)
+        if series.n_events < min_events:
+            warnings.warn(f"window at day {start} has {series.n_events} events "
+                          f"< {min_events}; dropped")
+            continue
+        q_times = np.arange(HISTORY_DAYS, WINDOW_DAYS, dtype=np.float64)
+        items.append(WindowItem(series=series, query_times=[q_times.copy() for _ in range(D)],
+                                targets=[values[d, start + HISTORY_DAYS:start + WINDOW_DAYS].copy()
+                                         for d in range(D)]))
+    return items
+
+
+def lagrange_fill_by_day(series: np.ndarray, gap_cap: int) -> np.ndarray:
+    """``data.lagrange_fill`` of a 1-D series with a known value, one missing
+    day at a time: each day of a short gap from the quadratic through its
+    gap's three anchors, each day of a long gap from the linear bridge."""
+    x = np.asarray(series, dtype=np.float64).copy()
+    known = np.flatnonzero(np.isfinite(x))
+    if known.size == x.size:
+        return x
+    if known.size < 3:
+        warnings.warn("fewer than 3 known points; nearest-value fill")
+        return nearest_fill_by_day(x, known)
+    first, last = known[0], known[-1]
+    x[:first] = x[first]
+    x[last + 1:] = x[last]
+    for left, right in zip(known[:-1], known[1:]):
+        gap = right - left - 1
+        if gap == 0:
+            continue
+        if gap <= gap_cap:
+            left_anchors = known[known <= left]
+            right_anchors = known[known >= right]
+            if left_anchors.size >= 2:
+                idx = np.array([left_anchors[-2], left_anchors[-1], right_anchors[0]])
+            else:
+                idx = np.array([left_anchors[-1], right_anchors[0], right_anchors[1]])
+            (t0, t1, t2), (y0, y1, y2) = idx.astype(np.float64), x[idx]
+            for day in range(left + 1, right):
+                t = float(day)
+                x[day] = float(y0 * (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2))
+                             + y1 * (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2))
+                             + y2 * (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)))
+        else:
+            span = right - left
+            for t in range(left + 1, right):
+                frac = (t - left) / span
+                x[t] = (1.0 - frac) * x[left] + frac * x[right]
+    return x
+
+
+def nearest_fill_by_day(x: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Each non-finite day of ``x`` takes the value of its nearest ``known``
+    day, the earlier one on a tie."""
+    out = x.copy()
+    for t in np.flatnonzero(~np.isfinite(x)):
+        out[t] = x[known[np.argmin(np.abs(known - t))]]
+    return out

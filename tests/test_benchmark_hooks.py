@@ -12,7 +12,7 @@ import sedformer.backbone
 import sedformer.encoder
 import sedformer.model
 import sedformer.training
-from sedformer import ModelConfig, SedFormer, SuiteConfig, synth_suite
+from sedformer import ModelConfig, SedFormer, SuiteConfig, parallel, synth_suite
 from sedformer.tensor import Tensor
 from sedformer.training import TrainConfig
 
@@ -35,6 +35,7 @@ def _run(model, splits, tracer=None):
 
 def test_tracer_wraps_every_layer_and_changes_nothing(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.setattr(parallel, "ENABLED", False)  # the tracer wraps this process only
     tracing = importlib.import_module("tracing")
     splits = synth_suite(SuiteConfig(n_series=1, n_days=300, seed=0))
     assert all(splits[s] for s in ("train", "val", "test"))

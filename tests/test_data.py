@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import event_raster
+from oracles import event_raster, lagrange_fill_by_day, nearest_fill_by_day, stream_windows
 from sedformer.data import (HISTORY_DAYS, HORIZON_DAYS, WINDOW_DAYS, CleanConfig,
-                            Standardizer, SuiteConfig, VizConfig, baseline_encoders,
-                            clean_series, lagrange_fill, load_csv, mad_smooth,
+                            Standardizer, SuiteConfig, VizConfig, _nearest_fill,
+                            baseline_encoders, clean_series, lagrange_fill, load_csv, mad_smooth,
                             make_windows, mcar_sparsify, merge_splits,
                             prepare_corpus, read_dataset, spline_impute,
                             split_windows, synth_suite, synth_suite_panel,
@@ -73,6 +73,61 @@ def test_lagrange_fill_bridges_long_gaps_linearly():
     filled = lagrange_fill(series, gap_cap=3)
     assert np.all(np.isfinite(filled))
     assert np.allclose(filled, truth, atol=1e-12)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_gappy_series(rng, n_days: int, missing: float) -> np.ndarray:
+    """A smooth daily series with noise; each day missing with probability
+    ``missing``, and at least one day known."""
+    t = np.arange(n_days, dtype=np.float64)
+    x = np.sin(t / rng.uniform(2.0, 9.0)) * rng.uniform(0.5, 3.0) + rng.normal(0.0, 0.1, n_days)
+    x[rng.random(n_days) < missing] = np.nan
+    if not np.isfinite(x).any():
+        x[rng.integers(n_days)] = rng.normal()
+    return x
+
+
+@pytest.mark.parametrize("gap_cap", [1, 2, 3, 4, 5, 6])
+def test_lagrange_fill_matches_the_per_day_oracle(gap_cap):
+    """Bitwise the per-day fill, warnings included, on seeded series with up
+    to 99 % of days missing: fewer than 3 known points, and leading,
+    trailing, short and long gaps."""
+    rng = np.random.default_rng(gap_cap)
+    few = 0
+    for n_days in (1, 2, 3, 4, 5, 7, 12, 40, 150):
+        for missing in (0.0, 0.2, 0.5, 0.8, 0.95, 0.99):
+            for _ in range(6):
+                x = random_gappy_series(rng, n_days, missing)
+                few += np.isfinite(x).sum() < 3
+                with warnings.catch_warnings(record=True) as got:
+                    warnings.simplefilter("always")
+                    filled = lagrange_fill(x, gap_cap=gap_cap)
+                with warnings.catch_warnings(record=True) as want:
+                    warnings.simplefilter("always")
+                    expected = lagrange_fill_by_day(x, gap_cap)
+                assert same_bits(filled, expected), (n_days, missing, x)
+                assert [str(w.message) for w in got] == [str(w.message) for w in want]
+    assert few > 20
+
+
+def test_nearest_fill_matches_the_per_day_oracle():
+    """Each missing day takes its nearest known day's value, the earlier one
+    on a tie, bitwise as the per-day search: any number of known days,
+    anywhere, and every missing day a tie between two anchors."""
+    rng = np.random.default_rng(7)
+    for n_days in (1, 2, 5, 9, 30):
+        for n_known in range(1, n_days + 1):
+            for _ in range(4):
+                x = rng.normal(size=n_days)
+                known = np.sort(rng.choice(n_days, size=n_known, replace=False))
+                x[np.setdiff1d(np.arange(n_days), known)] = np.nan
+                assert same_bits(_nearest_fill(x, known), nearest_fill_by_day(x, known))
+    x = np.array([1.0, np.nan, 2.0, np.nan, np.nan, np.nan, 3.0])
+    assert _nearest_fill(x, np.array([0, 2, 6])).tolist() == [1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]
 
 
 def test_mad_smooth_replaces_outliers_only():
@@ -175,6 +230,53 @@ def test_make_windows_skips_short_panels(rng):
         items = make_windows(rng.normal(size=(2, 60)), np.ones((2, 60)))
     assert items == []
     assert any("no windows produced" in str(m.message) for m in w)
+
+
+def same_windows(got, want) -> bool:
+    return len(got) == len(want) and all(
+        same_bits(a.series.times, b.series.times) and same_bits(a.series.values, b.series.values)
+        and same_bits(a.series.mask, b.series.mask)
+        and len(a.query_times) == len(b.query_times) == len(a.targets) == len(b.targets)
+        and all(same_bits(p, q) for p, q in zip(a.query_times, b.query_times))
+        and all(same_bits(p, q) for p, q in zip(a.targets, b.targets))
+        for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.5, 0.8, 0.95, 0.99])
+def test_make_windows_matches_the_stream_oracle(rate):
+    """Windows cut from the daily grid are bitwise those of per-variate
+    streams merged by ``align_events``, with the same warnings: panels
+    shorter than a window, several strides and ``min_events``, variates that
+    keep no day, and windows with no event at all."""
+    rng = np.random.default_rng(int(rate * 100))
+    for D, T in ((1, 119), (1, 150), (3, 120), (3, 260), (5, 333)):
+        values = rng.normal(size=(D, T))
+        keep = (rng.random((D, T)) >= rate).astype(np.float64)
+        keep[:, 30:150] = 0.0  # windows with no event, or only a few
+        keep[D - 1, : T // 2] = 0.0  # a variate that keeps no day in early windows
+        for stride in (1, 7, 30, 45):
+            for min_events in (1, 5, 16):
+                with warnings.catch_warnings(record=True) as got:
+                    warnings.simplefilter("always")
+                    items = make_windows(values, keep, stride=stride, min_events=min_events)
+                with warnings.catch_warnings(record=True) as want:
+                    warnings.simplefilter("always")
+                    expected = stream_windows(values, keep, stride, min_events)
+                assert same_windows(items, expected), (D, T, stride, min_events)
+                assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
+
+def test_make_windows_of_suite_panels_match_the_stream_oracle():
+    """So are the suite's windows, plain and bursty, at the suite's
+    ``min_events`` of 16."""
+    for cfg in (SuiteConfig(n_days=300), SuiteConfig(n_days=420, rate=0.7, bursts=True),
+                SuiteConfig(n_days=300, rate=0.95)):
+        for i in range(2):
+            values, mask = synth_suite_panel(cfg, i)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert same_windows(make_windows(values, mask, min_events=16),
+                                    stream_windows(values, mask, 30, 16))
 
 
 def test_split_windows_chronological():

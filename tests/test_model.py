@@ -427,6 +427,7 @@ def test_calibrate_statistics_match_numpy(rng, monkeypatch):
     monkeypatch.setattr(SedAttention, "__call__", attention_spy)
     monkeypatch.setattr(FeedForward, "__call__", feed_forward_spy)
     monkeypatch.setattr(BatchNorm, "__call__", lambda bn, x: pytest.fail("op-by-op normalizer"))
+    monkeypatch.setattr(parallel, "ENABLED", False)  # the spies reach this process only
     model.calibrate(windows)
     assert set(raw) == set(model.batch_norms())
     for bn, rows in raw.items():

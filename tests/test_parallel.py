@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sedformer
+from conftest import ready_worker
 from sedformer import ModelConfig, SedFormer, Standardizer, TrainConfig, evaluate, parallel, train
 from sedformer import model as model_mod
 from sedformer.errors import ConfigError
@@ -43,17 +44,6 @@ def windows(n, seed=0, scale=1.0, no_queries=()):
     return out
 """
 exec(WINDOWS)
-
-
-def ready_worker():
-    """The worker, once it has started."""
-    proc = parallel._process()
-    assert proc is not None, "no worker in this interpreter"
-    deadline = time.monotonic() + 60.0
-    while not proc.ready():
-        assert time.monotonic() < deadline, "the worker did not start"
-        time.sleep(0.01)
-    return proc
 
 
 def count_passes(monkeypatch) -> list:
@@ -289,6 +279,52 @@ def test_warnings_of_worker_runs_reach_the_caller(monkeypatch):
         train(SedFormer(CONFIG), items, [], TrainConfig(epochs=1, batch_size=4))
     assert window_gradients in taken
     assert sum("variate 0 has no queries" in str(w.message) for w in caught) == 4
+
+
+# Prints the size of the BLAS pool that importing sedformer pinned, or "none"
+# where no loaded library has a known setter.
+POOL = """
+import sedformer
+from sedformer import parallel
+
+found = parallel.blas_pool()
+if found is None:
+    print("none")
+else:
+    lib, setter = found
+    getter = {"MKL_Set_Num_Threads": "MKL_Get_Max_Threads"}.get(
+        setter, setter.replace("set_num_threads", "get_num_threads"))
+    print(getattr(lib, getter)())
+"""
+
+
+def test_importing_the_package_pins_the_blas_pool():
+    """A fresh interpreter without any thread variable imports sedformer, and
+    its BLAS pool then holds one thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedformer.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in parallel.THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", POOL], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    if run.stdout.strip() == "none":
+        pytest.skip("no loaded BLAS library exports a known pool setter")
+    assert run.stdout.strip() == "1"
+
+
+def test_no_worker_where_no_pool_is_pinned(monkeypatch):
+    """Where no BLAS pool can be set and no thread variable is 1, passes run
+    in one process: two processes' default pools contend. A variable of 1
+    allows the worker again, wherever two CPUs do."""
+    monkeypatch.setattr(parallel, "blas_pool", lambda: None)
+    for var in parallel.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert parallel._enabled() is False
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert parallel._enabled() is False
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    two = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    assert parallel._enabled() is two
 
 
 # A parent that starts the worker, prints its pid, then trains (MODE

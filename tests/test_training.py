@@ -15,6 +15,7 @@ import sedformer
 from conftest import random_series
 from sedformer import SuiteConfig, synth_suite
 from sedformer import model as model_mod
+from sedformer import parallel
 from sedformer.data import WindowItem
 from sedformer.encoder import EventSeries
 from sedformer.errors import ConfigError
@@ -356,6 +357,7 @@ def test_batched_minibatch_step_matches_one_window_steps(monkeypatch):
     forward = batched.forward
     monkeypatch.setattr(batched, "forward", lambda s, q: runs.append(len(s)) or forward(s, q))
     monkeypatch.setattr(model_mod, "BATCH_ROWS", 150)
+    monkeypatch.setattr(parallel, "ENABLED", False)  # a worker would not record its runs
     train(batched, items, [], TrainConfig(epochs=1, batch_size=len(items), lr=1e-2))
     assert len(runs) >= 2 and max(runs) > 1
     _one_window_step(single, items, lr=1e-2)
