@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import mmap
 import platform
 
 import numpy as np
@@ -36,10 +37,52 @@ from .errors import ConfigError, NumericsError, ShapeError
 # as big arrays are freed, so that is set to the same 32 MiB, its ceiling.
 # Allocation changes no arithmetic.
 HEAP_TOP_PAD = 32 << 20
+# Resident slack above the highest heap page a pass has touched
+# (``keep_heap_slack``). The small arrays that outlive a pass (gradients, Adam's
+# moments, numpy's cache of small buffers) land where its tape was, so the next
+# tape starts a little higher and its backward's peak reaches pages no pass has
+# touched. With a worker taking one of two async_long-sized windows, the epoch
+# after a one-epoch warm-up faulted in 30-150 fresh pages; without one, an epoch
+# now and then faulted in up to 180. 1 or 2 MiB of slack took every epoch after
+# the first to 0-6 faults; 2 leaves room for runs of larger arrays.
+HEAP_SLACK = 2 << 20
+_MADV_POPULATE_WRITE = 23  # madvise(2), Linux 5.14 on
+_RESIDENT = [0]  # the heap's end up to which the slack is resident; 0 where none is kept
 if platform.libc_ver()[0] == "glibc":
     _LIBC = ctypes.CDLL(None)
     _LIBC.mallopt(-2, HEAP_TOP_PAD)  # M_TOP_PAD (mallopt(3))
     _LIBC.mallopt(-3, HEAP_TOP_PAD)  # M_MMAP_THRESHOLD
+    _LIBC.sbrk.restype, _LIBC.sbrk.argtypes = ctypes.c_void_p, (ctypes.c_ssize_t,)
+    _LIBC.mincore.restype, _LIBC.mincore.argtypes = ctypes.c_int, (
+        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p)
+    _LIBC.madvise.restype, _LIBC.madvise.argtypes = ctypes.c_int, (
+        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    _RESIDENT[0] = _LIBC.sbrk(0) or 0
+
+
+def keep_heap_slack() -> None:
+    """Fault in ``HEAP_SLACK`` of the heap's free top above its highest
+    touched page, where a pass has touched pages past the slack kept so far.
+    ``backward`` runs it: a steady pass then finds its pages resident. No-op
+    off glibc, and from the first time the kernel cannot populate a range."""
+    if not _RESIDENT[0]:
+        return
+    page = mmap.PAGESIZE
+    end = (_LIBC.sbrk(0) or 0) // page * page
+    lo = min(_RESIDENT[0], end) // page * page  # a trimmed heap ends below the slack
+    seen = np.zeros((end - lo) // page, dtype=np.uint8)  # mincore(2): bit 0, resident
+    if seen.size and _LIBC.mincore(lo, end - lo, seen.ctypes.data) != 0:
+        return
+    touched = np.flatnonzero(seen & 1)
+    if not touched.size:
+        _RESIDENT[0] = lo
+        return
+    start = lo + (int(touched[-1]) + 1) * page
+    stop = min(start + HEAP_SLACK, end)
+    if stop > start and _LIBC.madvise(start, stop - start, _MADV_POPULATE_WRITE) != 0:
+        stop = 0
+    _RESIDENT[0] = stop
+
 
 _GRAD_ENABLED = [True]
 _MAC_COUNTERS: list["mac_counter"] = []
@@ -157,7 +200,7 @@ class Tensor:
         it. Leaves keep their ``.grad``; the tensors themselves keep their
         data. A released node cannot be differentiated again: a later
         backward that reaches one raises instead of returning partial
-        gradients.
+        gradients. Then the heap's slack is kept (``keep_heap_slack``).
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -170,6 +213,7 @@ class Tensor:
             if node.grad is not None:
                 node._backward(node.grad)
             node.grad, node._backward, node._parents = None, _released, ()
+        keep_heap_slack()
 
     # -- arithmetic ---------------------------------------------------------
 

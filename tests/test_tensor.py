@@ -1,6 +1,12 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sedformer
 from conftest import gradcheck
 from sedformer.errors import ConfigError, NumericsError, ShapeError
 from sedformer.tensor import (BatchNorm, Tensor, assert_finite, concat,
@@ -355,3 +361,37 @@ def test_backward_through_freed_node_raises(again):
     with pytest.raises(RuntimeError, match="freed"):
         again(z, y).backward()
     assert x.grad is None  # nothing was accumulated before the raise
+
+
+# A child process: a fresh heap, whose top no other test has touched.
+HEAP_SLACK_PASSES = """
+import ctypes, mmap
+import numpy as np
+from sedformer import tensor
+x = tensor.parameter(np.ones(1 << 18))  # 2 MiB: a tape of 4 such arrays, past the slack
+(x * x).sum().backward()
+kept = tensor._RESIDENT[0]
+if kept:
+    (x * x).sum().backward()
+    libc = ctypes.CDLL(None)
+    libc.mincore.restype = ctypes.c_int
+    libc.mincore.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p)
+    seen = np.zeros(tensor.HEAP_SLACK // mmap.PAGESIZE + 1, dtype=np.uint8)
+    assert libc.mincore(kept - tensor.HEAP_SLACK, seen.size * mmap.PAGESIZE, seen.ctypes.data) == 0
+    print(tensor._RESIDENT[0] == kept, *(seen & 1)[[0, -2, -1]])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the slack is kept on glibc's heap")
+def test_backward_keeps_heap_slack_resident():
+    """After a backward, the ``HEAP_SLACK`` above the highest heap page the
+    pass touched is resident and the page past it is not; a second, like
+    pass stays below that end and keeps no more."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedformer.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", HEAP_SLACK_PASSES], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    if not run.stdout.strip():
+        pytest.skip("this kernel cannot populate a range (madvise MADV_POPULATE_WRITE)")
+    assert run.stdout.split() == ["True", "1", "1", "0"]
